@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .funcspace import FunctionExpr
 from .grammar import ParseError, format_element, format_function, parse_element, parse_function
-from .recovery import IllPosed, NotExtendable, RecoveryResult, chi_fit, ladder_peel
 from .reps import TruncatedRep, build_rep, ladder_diagonal, relation_residuals, represent, scalar_product_weights
 from .states import (
     CartanMeasure,
@@ -44,6 +43,18 @@ from .states import (
 from .verify import KmsReport, gram_psd_check, kms_check, support_positivity_check
 
 __version__ = "0.1.0"
+
+# Recovery loads scipy (~50 MB, most of the import time); it is imported on
+# first use.
+_RECOVERY_NAMES = ("IllPosed", "NotExtendable", "RecoveryResult", "chi_fit", "ladder_peel")
+
+
+def __getattr__(name):
+    if name in _RECOVERY_NAMES:
+        from . import recovery
+
+        return getattr(recovery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AlgebraElement",

@@ -141,7 +141,7 @@ def cmd_eval(args) -> int:
         value = eval_trace(state, element, args.tol)
         lines.append(f"trace      = {_fmt_complex(value)}")
     if args.method in ("recursion", "both"):
-        value_r = eval_kms_recursion(state.as_measure(), state.beta, element, args.tol)
+        value_r = eval_kms_recursion(state.as_measure(), state.beta, element)
         lines.append(f"recursion  = {_fmt_complex(value_r)}")
     if args.method == "both":
         lines.append(f"difference = {_fmt(abs(value - value_r))}")
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--method", choices=["trace", "recursion", "both"], default="trace")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="truncation tolerance of the trace (the recursion is exact)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

@@ -13,10 +13,6 @@ from math import comb
 
 import numpy as np
 
-# Relative magnitude below which a coefficient is treated as zero when
-# canonicalizing (keeps equality robust after binomial expansions).
-COEFF_DROP = 1e-14
-
 
 def _canonical(terms) -> tuple[tuple[int, float, complex], ...]:
     acc: dict[tuple[int, float], complex] = {}
@@ -25,15 +21,9 @@ def _canonical(terms) -> tuple[tuple[int, float, complex], ...]:
         if n < 0:
             raise ValueError(f"power must be nonnegative, got {n}")
         t = float(t) + 0.0  # normalize -0.0
-        c = complex(c)
         key = (n, t)
-        acc[key] = acc.get(key, 0j) + c
-    if not acc:
-        return ()
-    cmax = max(abs(c) for c in acc.values())
-    if cmax == 0.0:
-        return ()
-    kept = [(n, t, c) for (n, t), c in acc.items() if abs(c) > COEFF_DROP * cmax]
+        acc[key] = acc.get(key, 0j) + complex(c)
+    kept = [(n, t, c) for (n, t), c in acc.items() if c != 0]
     kept.sort(key=lambda item: (item[0], item[1]))
     return tuple(kept)
 
@@ -42,8 +32,9 @@ class FunctionExpr:
     """A finite sum sum_k c_k * x^{n_k} * e^{i t_k x}.
 
     Terms are kept canonical: sorted by (power, frequency), duplicate keys
-    merged, relatively-negligible coefficients dropped.  Frequencies are
-    compared bit-exactly; translation never perturbs them.
+    merged, exact zeros dropped.  A coefficient is never dropped for being
+    small next to another: closed forms mix coefficients many orders apart.
+    Frequencies are compared bit-exactly; translation never perturbs them.
     """
 
     __slots__ = ("terms",)

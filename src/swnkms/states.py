@@ -8,8 +8,10 @@ realization.  Two independent evaluators are provided:
 * ``eval_trace`` -- truncated trace against the diagonal density
   e^{-beta H/2}/Z in the lowest-weight module (the matrix route);
 * ``eval_kms_recursion`` -- the iterated KMS identity
-  rho(X A N_F) = sum_{j>=1} e^{-beta j} rho([A, X] N_{T_{-2j}F}),
-  run down to Cartan moments of the restricted measure (no matrices).
+  rho(X A N_F) = rho([A, X] N_G), G = sum_{j>=1} e^{-beta j} T_{-2j}F,
+  run down to Gibbs-ladder Cartan moments (no matrices).  G has a closed
+  form in the function span (negative-order polylogarithms), so the
+  recursion is finite, exact algebra with no truncation.
 
 Their agreement on weight-zero monomials is the desk-scale content of the
 uniqueness argument; the acceptance suite pins it.
@@ -17,6 +19,7 @@ uniqueness argument; the acceptance suite pins it.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -325,81 +328,77 @@ def cartan_moment(measure: CartanMeasure, f: FunctionExpr) -> complex:
 
 
 @lru_cache(maxsize=None)
+def _eulerian(s: int) -> tuple[int, ...]:
+    """Coefficients A(s, 0..s-1) of the Eulerian polynomial A_s (A_0 = 1)."""
+    if s == 0:
+        return (1,)
+    prev = (0,) + _eulerian(s - 1) + (0,)  # prev[k] = A(s-1, k-1)
+    return tuple((k + 1) * prev[k + 1] + (s - k) * prev[k] for k in range(s))
+
+
+def neg_polylogs(z: complex, n: int) -> list[complex]:
+    """[Li_0(z), Li_{-1}(z), ..., Li_{-n}(z)] for |z| < 1.
+
+    Li_{-s}(z) = sum_{j>=1} j^s z^j = z A_s(z) / (1-z)^{s+1} (DLMF 25.12).  The
+    Eulerian coefficients are positive, so the rounding error is bounded by
+    that of the series summed over |z|^j.
+    """
+    r = 1.0 / (1.0 - z)
+    scale = z * r
+    out = []
+    for s in range(n + 1):
+        acc = 0j
+        for c in reversed(_eulerian(s)):
+            acc = acc * z + c
+        out.append(scale * acc)
+        scale *= r
+    return out
+
+
+def kms_shift_sum(f: FunctionExpr, q: float) -> FunctionExpr:
+    """G = sum_{j>=1} q^j T_{-2j} F in closed form, for 0 <= q < 1.
+
+    With z = q e^{2it}, each term c x^n e^{itx} of F contributes
+    c e^{itx} sum_k C(n,k) 2^{n-k} Li_{-(n-k)}(z) x^k; G keeps F's frequencies.
+    """
+    # terms are sorted by power, so the last one seen at t has t's top power
+    top = {t: n for n, t, _ in f.terms}
+    polylogs = {t: neg_polylogs(q * cmath.exp(2j * t), n) for t, n in top.items()}
+    # merged here: the ~n^2/2 raw terms would cost FunctionExpr more than the sum
+    acc: dict[tuple[int, float], complex] = {}
+    for n, t, c in f.terms:
+        li = polylogs[t]
+        for k in range(n + 1):
+            acc[k, t] = acc.get((k, t), 0j) + c * math.comb(n, k) * 2 ** (n - k) * li[n - k]
+    return FunctionExpr((k, t, c) for (k, t), c in acc.items())
+
+
+@lru_cache(maxsize=None)
 def _recursion_commutator(m: int, n: int) -> AlgebraElement:
     """[X^{m-1} Y^n, X]: strictly lower total degree than X^m Y^n."""
     return algebra.commutator(AlgebraElement.monomial(m - 1, n), algebra.X)
 
 
-def eval_kms_recursion(
-    measure: SpectralMeasure,
-    beta: float,
-    a: AlgebraElement,
-    tol: float = 1e-10,
-    max_j: int = 10000,
-) -> complex:
+def eval_kms_recursion(measure: SpectralMeasure, beta: float, a: AlgebraElement) -> complex:
     """Evaluate the unique covariant KMS extension without matrices.
 
     Off-weight monomials vanish by covariance.  For m = n >= 1 the iterated
-    KMS identity gives rho(X^m Y^m N_F) = sum_{j>=1} e^{-beta j}
-    rho([X^{m-1}Y^m, X] N_{T_{-2j}F}); the j-series is summed numerically,
-    truncated once its geometric tail bound (measured decay ratio, floored at
-    e^{-beta}) drops below tol relative to the series' own sup-scale on the
-    support.  The base case is a Cartan moment of the restricted measure.
-    Raises ConvergenceError if the series needs more than max_j terms.
+    KMS identity gives rho(X^m Y^m N_F) = rho([X^{m-1}Y^m, X] N_G) with
+    G = sum_{j>=1} e^{-beta j} T_{-2j}F, summed exactly by ``kms_shift_sum``.
+    The base case is the Gibbs-ladder Cartan moment
+    m1 F(0) + (1-q) sum_k w_k (F + G)(lam_k), also exact: the evaluation is
+    finite algebra with no truncation.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not beta > 0 or math.exp(-beta) == 1.0:  # e^{-beta} must differ from 1 in floats
+        raise ValueError(f"beta must be positive and above ~1e-16, got {beta}")
     q = math.exp(-beta)
-    growth = _growth_exponent(a)
-    depth = ladder_depth(beta, min(tol * 1e-2, 1e-13), measure.max_lambda, growth)
-    restriction = cartan_restriction(
-        StateSpec.mixture(measure, beta) if measure.atoms else StateSpec.vacuum(beta),
-        max_p=depth,
-    )
-    xs = np.array([x for x, _ in restriction.atoms])
-    masses = np.array([m for _, m in restriction.atoms])
-    support = np.concatenate(([0.0], xs))
 
     def moment(f: FunctionExpr) -> complex:
-        total = restriction.m0 * f(0.0)
-        if xs.size:
-            total += complex(np.sum(masses * f.evaluate_array(xs)))
+        total = measure.m1 * f(0.0)
+        if measure.atoms:
+            ladder = f + kms_shift_sum(f, q)
+            total += (1.0 - q) * sum(w * ladder(lam) for lam, w in measure.atoms)
         return total
-
-    # The tail of the j-series enters the final value through moments of the
-    # commutator's polynomial factors, which can amplify it by a few orders;
-    # the extra 1e-3 margin buys that back at O(log(1/margin)/beta) terms.
-    series_tol = tol * 1e-3
-
-    def shift_series(f: FunctionExpr) -> FunctionExpr:
-        # G = sum_{j>=1} q^j T_{-2j} f, truncated with a geometric tail bound.
-        if f.is_zero:
-            return f
-        total = FunctionExpr.zero()
-        sup_scale = 0.0
-        prev_sup = None
-        j = 0
-        while True:
-            j += 1
-            if j > max_j:
-                raise ConvergenceError(
-                    f"KMS series needs more than {max_j} terms (tol={tol}, beta={beta})"
-                )
-            qj = q**j
-            total = total + qj * f.shift(-2.0 * j)
-            sup_j = qj * float(np.max(np.abs(f.evaluate_array(support + 2.0 * j))))
-            sup_scale = max(sup_scale, sup_j)
-            if prev_sup is not None and prev_sup > 0.0:
-                ratio = max(q, sup_j / prev_sup)
-                if ratio < 0.97 and sup_j * ratio / (1.0 - ratio) <= series_tol * (
-                    1e-300 + sup_scale
-                ):
-                    return total
-            if sup_j == 0.0 and (prev_sup == 0.0 or prev_sup is None):
-                return total
-            prev_sup = sup_j
 
     def ev(elem: AlgebraElement) -> complex:
         total = 0j
@@ -409,11 +408,9 @@ def eval_kms_recursion(
             if m == 0:
                 total += moment(f)
                 continue
-            series = shift_series(f)
+            series = kms_shift_sum(f, q)
             bracket = _recursion_commutator(m, n)
-            total += ev(
-                AlgebraElement([(key, p * series) for key, p in bracket.terms])
-            )
+            total += ev(AlgebraElement([(key, p * series) for key, p in bracket.terms]))
         return total
 
     return ev(a)

@@ -116,9 +116,14 @@ class TestCanonicalForm:
     def test_zero_coefficients_dropped(self):
         assert fexpr([(1, 0.0, 1.0), (1, 0.0, -1.0)]).is_zero
 
-    def test_relative_dust_dropped(self):
-        f = fexpr([(0, 0.0, 1.0), (2, 0.0, 1e-16)])
-        assert f == ONE
+    def test_small_coefficients_kept(self):
+        f = fexpr([(0, 0.0, 1e-15), (2, 0.0, 1.0)])
+        assert f.terms == ((0, 0.0, 1e-15 + 0j), (2, 0.0, 1 + 0j))
+        # (x + 120)^8: coefficients span 120^8 ~ 4e16 down to 1
+        shifted = FunctionExpr.x_power(8).shift(-120)
+        assert [(n, c) for n, _, c in shifted.terms] == [
+            (k, pytest.approx(math.comb(8, k) * 120.0 ** (8 - k), rel=1e-15)) for k in range(9)
+        ]
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import json
 import math
 
+import hypothesis.strategies as st
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
 
 from swnkms.algebra import AlgebraElement, N, X, Y, apply_automorphism
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
@@ -15,6 +18,8 @@ from swnkms.states import (
     chi_closed_form,
     eval_kms_recursion,
     eval_trace,
+    kms_shift_sum,
+    neg_polylogs,
     state_from_dict,
     state_to_dict,
 )
@@ -41,6 +46,42 @@ def gibbs_monomial_oracle(lam, beta, m, f, depth=4000):
         return value * f(lam + 2.0 * p)
 
     return geometric_oracle(lam, beta, diag, depth)
+
+
+def mp_ladder_sums(m1, atoms, beta, max_d, terms):
+    """rho(X^d Y^d N_F) for d <= max_d at 50 digits, and the sums of |terms|.
+
+    Sums every atom's Gibbs ladder sum_p (1-q) q^p diag_d(p) F(lam+2p)
+    directly, with diag_d(p) = (-1)^d prod_{i<d} (p-i)(lam+p-i-1), until the
+    terms drop below 1e-45 of the sum; the vacuum part m1 F(0) enters at d = 0.
+    """
+    with mp.workdps(50):
+        q = mp.exp(-mp.mpf(beta))
+        values = [mp.mpc(0)] * (max_d + 1)
+        scales = [mp.mpf(0)] * (max_d + 1)
+        constants = [mp.mpc(c) for n, _, c in terms if n == 0]
+        values[0] += m1 * mp.fsum(constants)
+        scales[0] += m1 * mp.fsum(abs(c) for c in constants)
+        for lam, w in atoms:
+            lam = mp.mpf(lam)
+            weight = (1 - q) * w
+            p = 0
+            while True:
+                x = lam + 2 * p
+                fx = mp.fsum(mp.mpc(c) * x**n * mp.expj(mp.mpf(t) * x) for n, t, c in terms)
+                ax = mp.fsum(abs(mp.mpc(c)) * x**n for n, _, c in terms)
+                diag = mp.mpf(1)
+                for d in range(max_d + 1):
+                    if d:
+                        diag *= -(p - d + 1) * (lam + p - d)
+                    values[d] += weight * diag * fx
+                    scales[d] += weight * abs(diag) * ax
+                # past the peak (terms are unimodal in p) once one is negligible
+                if p > 4 * max_d and weight * abs(diag) * ax < mp.mpf("1e-45") * scales[max_d]:
+                    break
+                weight *= q
+                p += 1
+    return values, scales
 
 
 class TestEvalTracePinned:
@@ -254,19 +295,68 @@ class TestKmsRecursion:
             rhs = eval_trace(state, a)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_matches_50_digit_oracle(self, beta):
+        terms = [(0, 0.0, 1.0), (1, 0.0, -0.4j), (2, 0.0, 0.7),
+                 (0, 0.9, 0.5 + 0.2j), (1, -1.3, 0.3)]
+        m1, atoms = 0.2, ((0.8, 0.5), (2.5, 0.3))
+        measure = SpectralMeasure(m1, atoms)
+        values, scales = mp_ladder_sums(m1, atoms, beta, 8, terms)
+        for d in range(9):
+            got = eval_kms_recursion(measure, beta, AlgebraElement.monomial(d, d, FunctionExpr(terms)))
+            err = abs(mp.mpc(got) - values[d]) / scales[d]
+            assert err <= 1e-12, (d, float(err))
+
     def test_rejects_bad_arguments(self):
         measure = SpectralMeasure(0.0, ((1.0, 1.0),))
-        with pytest.raises(ValueError):
-            eval_kms_recursion(measure, -1.0, X * Y)
-        with pytest.raises(ValueError):
-            eval_kms_recursion(measure, 1.0, X * Y, tol=0.0)
+        for beta in (-1000.0, 0.0, 1e-17, math.nan):
+            with pytest.raises(ValueError):
+                eval_kms_recursion(measure, beta, X * Y)
 
-    def test_series_cap_guards_nonconvergence(self):
-        from swnkms.states import ConvergenceError
 
-        measure = SpectralMeasure(0.0, ((1.0, 1.0),))
-        with pytest.raises(ConvergenceError):
-            eval_kms_recursion(measure, 0.5, X * Y, tol=1e-12, max_j=3)
+class TestKmsShiftSum:
+    @pytest.mark.parametrize("radius", [0.01, 0.3, math.exp(-0.5)])
+    def test_neg_polylogs_match_mpmath(self, radius):
+        for angle in np.linspace(-math.pi, math.pi, 13):
+            z = radius * complex(math.cos(angle), math.sin(angle))
+            got = neg_polylogs(z, 20)
+            for s, value in enumerate(got):
+                exact = mp.polylog(-s, mp.mpc(z))
+                # rounding is bounded by the series summed over |z|^j
+                assert abs(mp.mpc(value) - exact) <= 1e-14 * mp.polylog(-s, radius), (z, s)
+
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from([0.0, 0.4, -1.1, math.pi]),
+                st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        beta=st.floats(0.5, 3.0),
+        depth=st.integers(10, 80),
+    )
+    def test_closed_form_matches_truncated_sum(self, terms, beta, depth):
+        f = FunctionExpr(terms)
+        q = math.exp(-beta)
+        brute = FunctionExpr.zero()
+        for j in range(1, depth + 1):
+            brute = brute + q**j * f.shift(-2.0 * j)
+        closed = kms_shift_sum(f, q)
+        max_n = max(n for n, _, _ in terms)
+
+        def envelope(y):
+            return sum(abs(c) * y**n for n, _, c in terms)
+
+        for x in (0.0, 0.7, 3.0):
+            # beyond j = depth successive terms shrink by at most this ratio
+            first = x + 2.0 * (depth + 1)
+            ratio = q * (1.0 + 2.0 / first) ** max_n
+            tail = q ** (depth + 1) * envelope(first) / (1.0 - ratio)
+            scale = sum(q**j * envelope(x + 2.0 * j) for j in range(1, depth + 1))
+            assert abs(closed(x) - brute(x)) <= tail + 1e-12 * scale
 
 
 class TestStateSerialization:
