@@ -3,7 +3,8 @@
 Subcommands: relations, eval, chi, kms-check, recover, rep.  Exit codes are a
 scriptable contract: 0 success, 1 failed check / not extendable, 2 invalid
 flags or files, 3 expression parse error.  All output is deterministic given
-flags and seed (env SWN_KMS_SEED supplies the default seed).
+flags and seed (env SWN_KMS_SEED supplies the default seed).  Only
+``recover`` imports ``swnkms.recovery``, and with it scipy.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import sys
 
 import numpy as np
 
+from .algebra import N
 from .funcspace import FunctionExpr
 from .grammar import ParseError, parse_element, parse_function
-from .recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
 from .reps import build_rep, relation_residuals
 from .states import (
     CartanMeasure,
@@ -36,6 +37,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
+
+
+def __getattr__(name):
+    """Recovery names resolve on first use, so scipy loads only for ``recover``."""
+    if name in ("IllPosed", "NotExtendable", "chi_fit", "ladder_peel"):
+        from . import recovery
+
+        return getattr(recovery, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -160,7 +170,7 @@ def cmd_chi(args) -> int:
         lines.append("t,re_chi,im_chi,re_trace,im_trace")
         max_gap = 0.0
         for t, c in zip(ts, chi):
-            traced = eval_trace(state, _exp_element(t), args.tol)
+            traced = eval_trace(state, N(FunctionExpr.exponential(t)), args.tol)
             max_gap = max(max_gap, abs(traced - c))
             lines.append(
                 f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},"
@@ -173,12 +183,6 @@ def cmd_chi(args) -> int:
             lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
-
-
-def _exp_element(t: float):
-    from .algebra import N
-
-    return N(FunctionExpr.exponential(t))
 
 
 def cmd_kms_check(args) -> int:
@@ -250,8 +254,10 @@ def _load_chi_csv(path: str):
 def cmd_recover(args) -> int:
     if (args.cartan is None) == (args.chi is None):
         raise CliError("provide exactly one of --cartan or --chi")
-    if args.beta <= 0:
-        raise CliError("beta must be positive")
+    if not 0 < args.beta < math.inf:
+        raise CliError("beta must be positive and finite")
+    from .recovery import IllPosed, NotExtendable, chi_fit, ladder_peel  # loads scipy
+
     try:
         if args.cartan:
             result = ladder_peel(_load_cartan(args.cartan), args.beta, tol=args.tol)
@@ -317,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--method", choices=["trace", "recursion", "both"], default="trace")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="truncation tolerance of the trace (the recursion is exact)")
+    p.add_argument("--tol", type=float, default=1e-13,
+                   help="truncation error bound of the trace per unit coefficient sum "
+                        "(the recursion is exact)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
@@ -328,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-13,
+                   help="truncation error bound of the --cross-check trace")
     p.add_argument("--out")
     p.set_defaults(func=cmd_chi)
 

@@ -7,8 +7,9 @@ where ``exp(t)`` denotes e^{i t x} and ``2i`` is an imaginary literal.
 Element syntax:
     X^2 Y N[x^2 + exp(1.5)] - 2i (X Y)^2
 with ``H`` as an alias for ``N[x]``.  Multiplication is ``*`` or
-juxtaposition.  Both parsers are hand-written recursive descent with
-1-based column diagnostics; ``format_function``/``format_element`` emit
+juxtaposition.  One hand-written recursive-descent parser serves both
+grammars (they differ only in their scalars and names), with 1-based column
+diagnostics; ``format_function``/``format_element`` emit
 text that reparses to an equal object.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import AlgebraElement, N, X, Y
+from .algebra import AlgebraElement, H, N, X, Y
 from .funcspace import FunctionExpr
 
 
@@ -35,6 +36,7 @@ class ParseError(ValueError):
 _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z]+")
 _OPS = set("+-*^()[],")
+_GENERATORS = {"X": X, "Y": Y, "H": H}
 
 
 class _Token:
@@ -129,53 +131,60 @@ class _Parser:
             sign = -1.0 if self.advance().kind == "-" else 1.0
         return sign * self.expect("number").value
 
-    # -- function grammar ---------------------------------------------------
+    # -- sum / term / factor, shared by both grammars ---------------------------
+    # A grammar is its scalar constructor, the primary that parses its names,
+    # and those names; numbers and parentheses are parsed here for both.
 
-    def fsum(self) -> FunctionExpr:
-        value = self._signed(self.fterm)
+    def _sum(self, scalar, primary, names):
+        sign = 1.0
+        while self.here.kind in ("+", "-"):
+            if self.advance().kind == "-":
+                sign = -sign
+        value = self._term(scalar, primary, names)
+        if sign < 0:
+            value = -value
         while self.here.kind in ("+", "-"):
             op = self.advance().kind
-            rhs = self.fterm()
+            rhs = self._term(scalar, primary, names)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def fterm(self) -> FunctionExpr:
-        value = self.ffactor()
+    def _term(self, scalar, primary, names):
+        value = self._factor(scalar, primary, names)
         while True:
-            if self.here.kind == "*":
+            tok = self.here
+            if tok.kind == "*":
                 self.advance()
-                value = value * self.ffactor()
-            elif self._starts_ffactor():
-                value = value * self.ffactor()
-            else:
+            elif not (
+                tok.kind in ("number", "imag", "(")
+                or (tok.kind == "name" and tok.value in names)
+            ):
                 return value
+            value = value * self._factor(scalar, primary, names)
 
-    def _starts_ffactor(self) -> bool:
+    def _factor(self, scalar, primary, names):
         tok = self.here
-        return tok.kind in ("number", "imag", "(") or (
-            tok.kind == "name" and tok.value in ("x", "exp")
-        )
-
-    def ffactor(self) -> FunctionExpr:
-        value = self.fprimary()
+        if tok.kind in ("number", "imag"):
+            self.advance()
+            value = scalar(tok.value * 1j if tok.kind == "imag" else tok.value)
+        elif tok.kind == "(":
+            self.advance()
+            value = self._sum(scalar, primary, names)
+            self.expect(")")
+        else:
+            value = primary()
         if self.here.kind == "^":
             self.advance()
             value = value ** self.int_power()
         return value
 
+    # -- function grammar ---------------------------------------------------
+
+    def fsum(self) -> FunctionExpr:
+        return self._sum(FunctionExpr.constant, self.fprimary, ("x", "exp"))
+
     def fprimary(self) -> FunctionExpr:
         tok = self.here
-        if tok.kind == "number":
-            self.advance()
-            return FunctionExpr.constant(tok.value)
-        if tok.kind == "imag":
-            self.advance()
-            return FunctionExpr.constant(tok.value * 1j)
-        if tok.kind == "(":
-            self.advance()
-            value = self.fsum()
-            self.expect(")")
-            return value
         if tok.kind == "name" and tok.value == "x":
             self.advance()
             return FunctionExpr.x_power(1)
@@ -190,75 +199,20 @@ class _Parser:
     # -- element grammar ------------------------------------------------------
 
     def asum(self) -> AlgebraElement:
-        value = self._signed(self.aterm)
-        while self.here.kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.aterm()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def aterm(self) -> AlgebraElement:
-        value = self.afactor()
-        while True:
-            if self.here.kind == "*":
-                self.advance()
-                value = value * self.afactor()
-            elif self._starts_afactor():
-                value = value * self.afactor()
-            else:
-                return value
-
-    def _starts_afactor(self) -> bool:
-        tok = self.here
-        return tok.kind in ("number", "imag", "(") or (
-            tok.kind == "name" and tok.value in ("X", "Y", "H", "N")
-        )
-
-    def afactor(self) -> AlgebraElement:
-        value = self.aprimary()
-        if self.here.kind == "^":
-            self.advance()
-            value = value ** self.int_power()
-        return value
+        return self._sum(AlgebraElement.scalar, self.aprimary, ("X", "Y", "H", "N"))
 
     def aprimary(self) -> AlgebraElement:
         tok = self.here
-        if tok.kind == "number":
+        if tok.kind == "name" and tok.value in _GENERATORS:
             self.advance()
-            return AlgebraElement.scalar(tok.value)
-        if tok.kind == "imag":
+            return _GENERATORS[tok.value]
+        if tok.kind == "name" and tok.value == "N":
             self.advance()
-            return AlgebraElement.scalar(tok.value * 1j)
-        if tok.kind == "(":
-            self.advance()
-            value = self.asum()
-            self.expect(")")
-            return value
-        if tok.kind == "name":
-            if tok.value == "X":
-                self.advance()
-                return X
-            if tok.value == "Y":
-                self.advance()
-                return Y
-            if tok.value == "H":
-                self.advance()
-                return N(FunctionExpr.x_power(1))
-            if tok.value == "N":
-                self.advance()
-                self.expect("[")
-                f = self.fsum()
-                self.expect("]")
-                return N(f)
+            self.expect("[")
+            f = self.fsum()
+            self.expect("]")
+            return N(f)
         self.fail()
-
-    def _signed(self, production):
-        sign = 1.0
-        while self.here.kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -sign
-        value = production()
-        return value if sign > 0 else -value
 
 
 def _trim_number(tok: _Token) -> str:

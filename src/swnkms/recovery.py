@@ -96,8 +96,8 @@ def ladder_peel(
     truncated ladders).  Raises NotExtendable if any intermediate mass drops
     below -tol or unconsumed mass above tol remains.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     q = math.exp(-beta)
@@ -258,8 +258,8 @@ def chi_fit(
     samples exceeds tol (chi is not of the admissible form), IllPosed when
     two recovered atoms sit closer than ``separation``.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     pairs = [(float(t), complex(c)) for t, c in samples]
     if len(pairs) < 2 * max_atoms + 1:
         raise ValueError(

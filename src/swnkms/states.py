@@ -61,12 +61,12 @@ class SpectralMeasure:
         m1 = float(m1)
         merged: list[list[float]] = []
         for lam, w in sorted((float(l), float(w)) for l, w in atoms):
-            if w < 0:
-                raise ValueError(f"atom weight must be nonnegative, got {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"atom weight must be nonnegative and finite, got {w}")
             if w == 0.0:
                 continue
-            if lam <= 0:
-                raise ValueError(f"atom location must be positive, got {lam}")
+            if not 0 < lam < math.inf:
+                raise ValueError(f"atom location must be positive and finite, got {lam}")
             if merged and abs(lam - merged[-1][0]) <= 1e-12 * max(1.0, lam):
                 merged[-1][1] += w
             else:
@@ -93,12 +93,14 @@ class CartanMeasure:
 
     def __init__(self, atoms=(), m0: float = 0.0):
         m0 = float(m0)
-        if m0 < 0:
-            raise ValueError(f"m0 must be nonnegative, got {m0}")
+        if not 0 <= m0 < math.inf:
+            raise ValueError(f"m0 must be nonnegative and finite, got {m0}")
         cleaned = []
         for x, mass in sorted((float(x), float(m)) for x, m in atoms):
-            if mass < 0:
-                raise ValueError(f"atom mass must be nonnegative, got {mass}")
+            if not 0 <= mass < math.inf:
+                raise ValueError(f"atom mass must be nonnegative and finite, got {mass}")
+            if not math.isfinite(x):
+                raise ValueError(f"atom position must be finite, got {x}")
             if cleaned and x == cleaned[-1][0]:
                 cleaned[-1][1] += mass
             else:
@@ -127,10 +129,10 @@ class StateSpec:
     measure: SpectralMeasure | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.kind == GIBBS:
-            if self.lam is None or self.lam <= 0:
+            if self.lam is None or not 0 < self.lam < math.inf:
                 raise ValueError(f"Gibbs state needs lambda > 0, got {self.lam}")
         elif self.kind == MIXTURE:
             if self.measure is None:
@@ -195,49 +197,66 @@ def save_state(state: StateSpec, path) -> None:
         fh.write("\n")
 
 
-# -- trace evaluator --------------------------------------------------------------
+# -- Gibbs ladder and trace evaluator ------------------------------------------------
+
+
+def ladder_depth(beta: float, tol: float = 1e-13, lam_max: float = 0.0, growth: int = 0) -> int:
+    """Last rung P kept of the Gibbs ladder (1-q) q^p at lam + 2p, q = e^{-beta}.
+
+    P is the first of 64, 128, 256, ... with 4 (lam_max + 2P)^growth q^P <= tol (1-q),
+    which puts P past the peak of (lam + 2p)^growth q^p.  A function bounded
+    by max(1, x)^growth, summed over the rungs p = 0..P with the masses
+    renormalized to 1 (``_ladder``), then misses its full ladder sum by at
+    most tol: the renormalization shifts it by under tol/4, and the dropped
+    tail decays geometrically from a term under tol (1-q)/4.
+    """
+    q = math.exp(-beta)
+    depth = 64
+    while 4.0 * (lam_max + 2.0 * depth) ** max(growth, 0) * q**depth > tol * (1.0 - q):
+        depth *= 2
+        if depth > (1 << 20):
+            raise ConvergenceError(
+                f"ladder truncation cannot reach tol={tol} (beta={beta} too small?)"
+            )
+    return depth
+
+
+def _ladder(beta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1."""
+    q = math.exp(-beta)
+    ps = np.arange(depth + 1, dtype=float)
+    masses = (1.0 - q) * q**ps
+    return ps, masses / masses.sum()
 
 
 def _growth_exponent(a: AlgebraElement) -> int:
     return max((m + n + max(f.degree, 0) for (m, n), f in a.terms), default=0)
 
 
-def _auto_dim(lam: float, beta: float, tol: float, growth: int) -> int:
-    """Smallest power-of-two dimension with e^{-beta D/2} (lam+2D)^G below tol.
-
-    The e^{-beta D/2} margin (the density decays like e^{-beta p}) absorbs the
-    constants in the polynomial tail bound.
-    """
-    target = min(tol, 1e-12)
-    dim = 64
-    while math.exp(-beta * dim / 2.0) * (lam + 2.0 * dim) ** max(growth, 0) > target:
-        dim *= 2
-        if dim > (1 << 16):
-            raise ConvergenceError(
-                f"trace truncation cannot reach tol={tol} (beta={beta} too small?)"
-            )
-    return dim
-
-
 def _gibbs_trace(lam: float, beta: float, a: AlgebraElement, tol: float) -> complex:
-    dim = _auto_dim(lam, beta, tol, _growth_exponent(a))
-    q = math.exp(-beta)
-    weights = q ** np.arange(dim, dtype=float)
-    z = weights.sum()
-    eigens = lam + 2.0 * np.arange(dim, dtype=float)
+    depth = ladder_depth(beta, tol, lam, _growth_exponent(a))
+    ps, masses = _ladder(beta, depth)
+    eigens = lam + 2.0 * ps
     total = 0j
     for (m, n), f in a.terms:
         if m != n:
             continue  # single-band matrix: off-weight monomials are traceless
-        diag = ladder_diagonal(lam, dim, m)
-        total += np.sum(diag * f.evaluate_array(eigens) * weights)
-    return complex(total / z)
+        diag = ladder_diagonal(lam, depth + 1, m)
+        total += np.sum(diag * f.evaluate_array(eigens) * masses)
+    return complex(total)
 
 
-def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-10) -> complex:
-    """State value by truncated trace (vacuum term is F(0) on the Cartan part)."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> complex:
+    """State value by truncated trace (vacuum term is F(0) on the Cartan part).
+
+    Each Gibbs component is summed over the ``ladder_depth`` rungs for its
+    lambda and the element's growth exponent, so the truncation error is at
+    most tol times the sum of the coefficients' absolute values over the
+    element's Cartan functions F (|diag_m(p)| <= (lam + 2p)^{2m} and
+    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     measure = state.as_measure()
     total = 0j
     if measure.m1:
@@ -270,34 +289,16 @@ def chi_closed_form(state: StateSpec, t):
 # -- Cartan restriction and moments -------------------------------------------------
 
 
-def ladder_depth(beta: float, tol: float = 1e-13, lam_max: float = 0.0, growth: int = 0) -> int:
-    """Depth P making the dropped geometric tail (with polynomial factor) < tol."""
-    q = math.exp(-beta)
-    depth = 64
-    while 4.0 * (lam_max + 2.0 * depth) ** max(growth, 0) * q**depth / (1.0 - q) > tol:
-        depth *= 2
-        if depth > (1 << 20):
-            raise ConvergenceError(
-                f"ladder truncation cannot reach tol={tol} (beta={beta} too small?)"
-            )
-    return depth
+def cartan_restriction(state: StateSpec) -> CartanMeasure:
+    """The state's measure on the Cartan subalgebra, truncated at ``ladder_depth``.
 
-
-def cartan_restriction(state: StateSpec, max_p: int | None = None) -> CartanMeasure:
-    """The state's measure on the Cartan subalgebra, truncated at max_p rungs.
-
-    Each Gibbs component contributes the geometric ladder
-    (1-q) q^p at lam + 2p; the truncated ladder is renormalized by
-    1/(1 - q^{max_p+1}) so each component keeps its full weight.  Positions
-    from different ladders closer than 1e-9 are merged.
+    Each Gibbs component contributes the geometric ladder (1-q) q^p at
+    lam + 2p; the truncated ladder is renormalized (``_ladder``) so each
+    component keeps its full weight.  Positions from different ladders closer
+    than 1e-9 are merged.
     """
     measure = state.as_measure()
-    if max_p is None:
-        max_p = ladder_depth(state.beta, lam_max=measure.max_lambda)
-    q = math.exp(-state.beta)
-    ps = np.arange(max_p + 1, dtype=float)
-    rung_masses = (1.0 - q) * q**ps
-    rung_masses /= rung_masses.sum()  # exact renormalization of the cut tail
+    ps, rung_masses = _ladder(state.beta, ladder_depth(state.beta, lam_max=measure.max_lambda))
     collected: list[tuple[float, float]] = []
     for lam, w in measure.atoms:
         positions = lam + 2.0 * ps

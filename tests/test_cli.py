@@ -9,12 +9,16 @@ import pytest
 from swnkms.states import SpectralMeasure, StateSpec, cartan_restriction, chi_closed_form, save_state
 
 
+CLI_TIMEOUT = 120  # seconds; a hanging subcommand fails its test instead of the suite
+
+
 def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "swnkms.cli", *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=CLI_TIMEOUT,
     )
 
 
@@ -79,6 +83,51 @@ class TestEval:
         bad.write_text('{"kind": "thermal"}')
         result = run_cli("eval", "--state", str(bad), "--expr", "X Y")
         assert result.returncode == 2
+
+
+    @pytest.mark.parametrize("field", ["w", "beta"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_state_value_exits_2(self, tmp_path, field, bad):
+        values = {"w": "0.5", "beta": "1.0"}
+        values[field] = bad
+        path = tmp_path / "state.json"
+        path.write_text(
+            f'{{"beta": {values["beta"]}, "kind": "mixture", "m1": 0.5, '
+            f'"atoms": [{{"lambda": 2.0, "w": {values["w"]}}}]}}'
+        )
+        result = run_cli("eval", "--state", str(path), "--expr", "X Y")
+        assert result.returncode == 2
+        assert "nan" not in result.stdout
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_bad_tol_exits_2(self, gibbs_file, tol):
+        result = run_cli("eval", "--state", gibbs_file, "--expr", "X Y", f"--tol={tol}")
+        assert result.returncode == 2
+        assert "tol must be positive and finite" in result.stderr
+
+
+class TestLazyRecoveryImport:
+    """Only ``recover`` loads swnkms.recovery, and with it scipy."""
+
+    def run_python(self, code):
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=CLI_TIMEOUT
+        )
+
+    def test_import_cli_skips_scipy(self):
+        result = self.run_python("import sys, swnkms.cli; print('scipy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_eval_skips_scipy(self, gibbs_file):
+        code = (
+            "import sys; from swnkms.cli import main; "
+            f"code = main(['eval', '--state', {gibbs_file!r}, '--expr', 'X Y', '--method', 'both']); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        result = self.run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
 
 class TestChi:
@@ -190,6 +239,19 @@ class TestRecover:
         result = run_cli("recover", "--cartan", str(cartan_path), "--beta", "1.0")
         assert result.returncode == 1
         assert "NotExtendable" in result.stderr
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0"])
+    def test_bad_beta_exits_2(self, tmp_path, beta):
+        # a real ladder: with beta = nan, ladder_peel used to wait forever on it
+        restriction = cartan_restriction(StateSpec.gibbs(1.5, 1.0))
+        cartan_path = tmp_path / "cartan.json"
+        cartan_path.write_text(json.dumps({
+            "m0": restriction.m0,
+            "atoms": [{"x": x, "mass": m} for x, m in restriction.atoms],
+        }))
+        result = run_cli("recover", "--cartan", str(cartan_path), f"--beta={beta}")
+        assert result.returncode == 2
+        assert "beta must be positive and finite" in result.stderr
 
     def test_needs_exactly_one_input(self, tmp_path):
         result = run_cli("recover", "--beta", "1.0")

@@ -85,6 +85,11 @@ class TestLadderPeel:
         with pytest.raises(ValueError):
             ladder_peel(measure, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError):
+            ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), beta)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_randomized_roundtrips(self, beta):
         rng = np.random.default_rng(101)
@@ -121,6 +126,13 @@ class TestChiFit:
         samples = [(float(t), complex(math.exp(-t * t))) for t in ts]
         with pytest.raises(NotExtendable):
             chi_fit(samples, 1.0, max_atoms=5)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        ts = np.linspace(-10.0, 10.0, 101)
+        samples = list(zip(ts, chi_closed_form(StateSpec.gibbs(1.5, 1.0), ts)))
+        with pytest.raises(ValueError):
+            chi_fit(samples, beta, max_atoms=2)
 
     def test_too_few_samples_rejected(self):
         ts = np.linspace(-1, 1, 5)

@@ -253,6 +253,39 @@ class TestSpectralMeasureInvariants:
             SpectralMeasure(1.5, ((1.0, -0.5),))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestRejectsNonFinite:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_spectral_measure(self, bad):
+        for m1, atoms in ((bad, ()), (0.5, ((bad, 0.5),)), (0.5, ((2.0, bad),))):
+            with pytest.raises(ValueError):
+                SpectralMeasure(m1, atoms)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cartan_measure(self, bad):
+        for m0, atoms in ((bad, ()), (0.5, ((bad, 0.5),)), (0.5, ((1.0, bad),))):
+            with pytest.raises(ValueError):
+                CartanMeasure(atoms=atoms, m0=m0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_state_beta_and_lambda(self, bad):
+        with pytest.raises(ValueError):
+            StateSpec.vacuum(bad)
+        with pytest.raises(ValueError):
+            StateSpec.gibbs(1.0, bad)
+        with pytest.raises(ValueError):
+            StateSpec.gibbs(bad, 1.0)
+        with pytest.raises(ValueError):
+            state_from_dict({"beta": bad, "kind": "vacuum"})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_trace_tol(self, bad):
+        with pytest.raises(ValueError):
+            eval_trace(StateSpec.gibbs(1.0, 1.0), X * Y, tol=bad)
+
+
 class TestKmsRecursion:
     def test_xy_pinned(self):
         measure = SpectralMeasure(0.0, ((1.0, 1.0),))
@@ -301,11 +334,28 @@ class TestKmsRecursion:
                  (0, 0.9, 0.5 + 0.2j), (1, -1.3, 0.3)]
         m1, atoms = 0.2, ((0.8, 0.5), (2.5, 0.3))
         measure = SpectralMeasure(m1, atoms)
+        state = StateSpec.mixture(measure, beta)
         values, scales = mp_ladder_sums(m1, atoms, beta, 8, terms)
         for d in range(9):
-            got = eval_kms_recursion(measure, beta, AlgebraElement.monomial(d, d, FunctionExpr(terms)))
-            err = abs(mp.mpc(got) - values[d]) / scales[d]
-            assert err <= 1e-12, (d, float(err))
+            a = AlgebraElement.monomial(d, d, FunctionExpr(terms))
+            for name, got in (("recursion", eval_kms_recursion(measure, beta, a)),
+                              ("trace", eval_trace(state, a))):
+                err = abs(mp.mpc(got) - values[d]) / scales[d]
+                assert err <= 1e-12, (name, d, float(err))
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 2.0])
+    def test_trace_tol_bounds_its_error(self, tol, beta):
+        """|eval_trace - ladder sum| <= tol ||F||_1 + rounding, at every degree."""
+        terms = [(0, 0.0, 0.6), (2, 0.0, -0.3j), (1, 1.1, 0.4 + 0.3j)]
+        m1, atoms = 0.1, ((0.4, 0.5), (5.0, 0.4))
+        state = StateSpec.mixture(SpectralMeasure(m1, atoms), beta)
+        f = FunctionExpr(terms)
+        values, scales = mp_ladder_sums(m1, atoms, beta, 8, terms)
+        for d in range(9):
+            got = eval_trace(state, AlgebraElement.monomial(d, d, f), tol=tol)
+            err = abs(mp.mpc(got) - values[d])
+            assert err <= tol * f.coeff_l1() + 1e-14 * scales[d], (d, float(err))
 
     def test_rejects_bad_arguments(self):
         measure = SpectralMeasure(0.0, ((1.0, 1.0),))
