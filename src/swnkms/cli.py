@@ -3,7 +3,7 @@
 Subcommands: relations, eval, chi, kms-check, recover, rep.  Exit codes are a
 scriptable contract: 0 success, 1 failed check / not extendable, 2 invalid
 flags or files, 3 expression parse error.  All output is deterministic given
-flags and seed (env SWN_KMS_SEED supplies the default seed).  Only
+flags and seed (env SWN_KMS_SEED supplies kms-check's default seed).  Only
 ``recover`` imports ``swnkms.recovery``, and with it scipy.
 """
 
@@ -108,8 +108,10 @@ def cmd_relations(args) -> int:
             lams.append(float(token))
         except ValueError as exc:
             raise CliError(f"invalid lambda value {token!r}") from exc
-    if any(lam <= 0 for lam in lams):
-        raise CliError("lambda must be positive")
+    if not all(0 < lam < math.inf for lam in lams):
+        raise CliError("lambda must be positive and finite")
+    if not 0 < args.tol < math.inf:
+        raise CliError("tol must be positive and finite")
     if args.dim < 2:
         raise CliError("dim must be at least 2")
     if args.dim <= 2:
@@ -267,7 +269,6 @@ def cmd_recover(args) -> int:
                 args.beta,
                 max_atoms=args.max_atoms,
                 tol=args.tol,
-                seed=args.seed,
             )
     except NotExtendable as exc:
         sys.stderr.write(f"NotExtendable: {exc}\n")
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify and evaluate covariant KMS states on the extended sl(2,C) algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
     p = sub.add_parser("relations", help="check the defining relations in truncated modules")
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated lowest weights")
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--sabotage-dynamics", action="store_true",
                    help="test hook: mis-scale the analytic continuation (must fail)")
@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--max-atoms", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out")
     p.set_defaults(func=cmd_recover)
 

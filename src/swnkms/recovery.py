@@ -13,10 +13,11 @@ Two independent routes:
 * ``chi_fit`` works in the frequency domain.  chi(t) = m1 + g(t) sum_k w_k
   e^{it lam_k} with g(t) = (1-q)/(1-q e^{2it}); multiplying samples by
   1/g(t) turns them into the exponential sum m1/(1-q) - (m1 q/(1-q)) e^{2it}
-  + sum_k w_k e^{it lam_k}, whose nodes a matrix-pencil solve recovers on a
-  uniform grid.  A constrained least-squares polish (weights in [0,1],
-  total mass pinned to 1) finishes the job; non-uniform grids fall back to
-  seeded multi-start.
+  + sum_k w_k e^{it lam_k}.  A matrix-pencil solve (Hua & Sarkar 1990)
+  seeds its nodes on a uniform grid, the periodogram on any other grid or
+  when the pencil fit misses tol.  Each seed gets one variable-projection
+  polish (Golub & Pereyra 1973) over one bounded weight solve (weights in
+  [0,1], total mass pinned to 1); there is no multi-start.
 
 The two routes fail differently; their agreement is the desk-scale
 uniqueness check.
@@ -45,6 +46,10 @@ class IllPosed(ValueError):
 
 #: Minimum separation between recovered atom locations before IllPosed.
 ATOM_SEPARATION = 1e-6
+#: Fitted weights at or below this are absent atoms: dropped, the rest refitted.
+WEIGHT_FLOOR = 1e-9
+#: Largest |m1 + sum w - 1| a chi fit may leave before NotExtendable.
+MASS_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,8 @@ def ladder_peel(
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     q = math.exp(-beta)
     bag = _AtomBag(pos_atol)
     m0 = cartan.m0
@@ -179,14 +184,18 @@ def _is_uniform(ts: np.ndarray) -> bool:
     return step > 0 and np.max(np.abs(diffs - step)) <= 1e-9 * max(1.0, abs(step))
 
 
-def _periodogram_peaks(
-    ts: np.ndarray, values: np.ndarray, lam_hi: float, max_peaks: int
-) -> np.ndarray:
+def _periodogram_peaks(ts: np.ndarray, values: np.ndarray, max_peaks: int) -> np.ndarray:
     """Local maxima of |mean(values e^{-i lam t})|: the inverse-Fourier histogram.
 
     Works on arbitrary sampling grids; peak locations seed the nonlinear
-    polish within the Fourier resolution 2 pi / span.
+    polish within the Fourier resolution 2 pi / span.  The scan runs up to
+    the Nyquist frequency of the median spacing, clipped to [4, 24].
     """
+    lam_hi = 12.0
+    if len(ts) > 1:
+        median_dt = float(np.median(np.diff(ts)))
+        if median_dt > 0:
+            lam_hi = max(4.0, min(24.0, math.pi / median_dt))
     lams = np.arange(0.05, lam_hi, 0.05)
     power = np.abs(np.exp(-1j * np.outer(lams, ts)) @ values) / len(ts)
     inner = (power[1:-1] >= power[:-2]) & (power[1:-1] >= power[2:])
@@ -195,53 +204,38 @@ def _periodogram_peaks(
     return np.sort(lams[ranked])
 
 
-def _solve_weights(ts, chis, q, lams):
-    """Constrained linear solve for (m1, w) given atom locations.
+def _solve_weights(ts, chis, geom, lams):
+    """Bounded linear solve for (m1, w) at fixed atom locations.
 
-    Weights live in [0,1]; the total-mass-one constraint rides along as a
-    heavily weighted row, which is numerically exact at the residual scales
-    accepted here.
+    The design matrix has columns 1 and g(t) e^{i lam t}; BVLS solves its
+    real form with weights in [0,1], the total-mass-one constraint riding
+    along as a heavily weighted row, which is numerically exact at the
+    residual scales accepted here.  Returns m1, w, the rms residual and the
+    real residual vector that the polish minimizes.
     """
-    geom = _geometric_factor(ts, q)
     cols = [np.ones_like(ts, dtype=complex)]
     cols += [geom * np.exp(1j * ts * lam) for lam in lams]
     a = np.column_stack(cols)
     a_real = np.vstack([a.real, a.imag])
     b_real = np.concatenate([chis.real, chis.imag])
-    kappa = 1e8
+    kappa = 1e8  # weight of the mass row
     a_aug = np.vstack([a_real, kappa * np.ones((1, a.shape[1]))])
     b_aug = np.concatenate([b_real, [kappa]])
-    sol = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls")
-    params = sol.x
-    model = a @ params
-    rms = float(np.sqrt(np.mean(np.abs(model - chis) ** 2)))
-    return params[0], params[1:], rms
+    params = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls").x
+    rms = float(np.sqrt(np.mean(np.abs(a @ params - chis) ** 2)))
+    return params[0], params[1:], rms, a_real @ params - b_real
 
 
-def _polish(ts, chis, q, lams0):
-    """Variable-projection refinement of atom locations."""
-    lams0 = np.asarray(lams0, dtype=float)
-    if lams0.size == 0:
-        m1, ws, rms = _solve_weights(ts, chis, q, lams0)
-        return lams0, m1, ws, rms
+def _polish(ts, chis, geom, lams0):
+    """Variable-projection refinement: atom locations move, weights are re-solved."""
+    lams = np.asarray(lams0, dtype=float)
+    if lams.size:
+        def residual(x):
+            return _solve_weights(ts, chis, geom, x)[3]
 
-    def residual(lams):
-        geom = _geometric_factor(ts, q)
-        cols = [np.ones_like(ts, dtype=complex)]
-        cols += [geom * np.exp(1j * ts * lam) for lam in lams]
-        a = np.column_stack(cols)
-        a_real = np.vstack([a.real, a.imag])
-        b_real = np.concatenate([chis.real, chis.imag])
-        kappa = 1e8
-        a_aug = np.vstack([a_real, kappa * np.ones((1, a.shape[1]))])
-        b_aug = np.concatenate([b_real, [kappa]])
-        sol = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls")
-        return a_real @ sol.x - b_real
-
-    fit = least_squares(residual, lams0, bounds=(1e-8, np.inf), xtol=1e-14, ftol=1e-14)
-    lams = np.sort(fit.x)
-    m1, ws, rms = _solve_weights(ts, chis, q, lams)
-    return lams, m1, ws, rms
+        fit = least_squares(residual, lams, bounds=(1e-8, np.inf), xtol=1e-14, ftol=1e-14)
+        lams = np.sort(fit.x)
+    return (lams,) + _solve_weights(ts, chis, geom, lams)[:3]
 
 
 def chi_fit(
@@ -249,17 +243,25 @@ def chi_fit(
     beta: float,
     max_atoms: int,
     tol: float = 1e-6,
-    seed: int = 0,
     separation: float = ATOM_SEPARATION,
 ) -> RecoveryResult:
     """Fit sampled chi(t) to m1 + g(t) sum w_k e^{it lam_k}; recover the measure.
 
-    Raises NotExtendable when the best root-mean-square residual over the
-    samples exceeds tol (chi is not of the admissible form), IllPosed when
-    two recovered atoms sit closer than ``separation``.
+    The matrix pencil of chi/g seeds the atoms on a uniform grid; its
+    periodogram seeds them on any other grid or when the pencil fit misses
+    tol, and the better fit wins.  Each seed is polished once.
+
+    Raises ValueError on a tol that is not positive and finite, a negative
+    max_atoms or non-finite samples; NotExtendable when the root-mean-square
+    residual over the samples exceeds tol (chi is not of the admissible
+    form); IllPosed when two recovered atoms sit closer than ``separation``.
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_atoms < 0:
+        raise ValueError(f"max_atoms must be >= 0, got {max_atoms}")
     pairs = [(float(t), complex(c)) for t, c in samples]
     if len(pairs) < 2 * max_atoms + 1:
         raise ValueError(
@@ -269,66 +271,40 @@ def chi_fit(
     pairs.sort(key=lambda tc: tc[0])
     ts = np.array([t for t, _ in pairs])
     chis = np.array([c for _, c in pairs])
-    q = math.exp(-beta)
+    if not (np.isfinite(ts).all() and np.isfinite(chis).all()):
+        raise ValueError("samples must be finite")
+    geom = _geometric_factor(ts, math.exp(-beta))
 
     def evaluate(lams0):
-        lams, m1, ws, rms = _polish(ts, chis, q, lams0)
-        keep = ws > 1e-9
+        lams, m1, ws, rms = _polish(ts, chis, geom, lams0)
+        keep = ws > WEIGHT_FLOOR
         if not np.all(keep):
             lams = lams[keep]
-            m1, ws, rms = _solve_weights(ts, chis, q, lams)
+            m1, ws, rms, _ = _solve_weights(ts, chis, geom, lams)
         if len(lams) > max_atoms:
             order = np.argsort(ws)[::-1][:max_atoms]
             lams = np.sort(lams[order])
-            m1, ws, rms = _solve_weights(ts, chis, q, lams)
+            m1, ws, rms, _ = _solve_weights(ts, chis, geom, lams)
         return lams, m1, ws, rms
-
-    lam_hi = 12.0
-    if len(ts) > 1:
-        median_dt = float(np.median(np.diff(ts)))
-        if median_dt > 0:
-            lam_hi = max(4.0, min(24.0, math.pi / median_dt))
 
     best = None
     if _is_uniform(ts):
-        nodes = _pencil_nodes(ts, chis / _geometric_factor(ts, q), max_atoms + 2)
+        nodes = _pencil_nodes(ts, chis / geom, max_atoms + 2)
         best = evaluate(np.sort(nodes[nodes > ATOM_SEPARATION]))
-
-    if best is None or best[3] > tol:
-        peaks = _periodogram_peaks(
-            ts, chis / _geometric_factor(ts, q), lam_hi, max_atoms + 2
-        )
-        cand = evaluate(peaks)
+    if best is None or not best[3] <= tol:
+        cand = evaluate(_periodogram_peaks(ts, chis / geom, max_atoms + 2))
         if best is None or cand[3] < best[3]:
             best = cand
 
-    if best[3] > tol:
-        # last resort: seeded multi-start over atom counts and spreads
-        for count in range(0, max_atoms + 1):
-            for start_index in range(3):
-                rng = np.random.default_rng([seed, count, start_index])
-                if count == 0:
-                    lams0 = np.array([])
-                else:
-                    base = np.linspace(lam_hi / (count + 1), lam_hi, count, endpoint=False)
-                    lams0 = np.sort(np.abs(base + rng.uniform(-0.5, 0.5, count)) + 1e-3)
-                cand = evaluate(lams0)
-                if cand[3] < best[3]:
-                    best = cand
-                if best[3] <= tol:
-                    break
-            if best[3] <= tol:
-                break
-
     lams, m1, ws, rms = best
-    if rms > tol:
+    if not rms <= tol:
         raise NotExtendable(f"best chi-fit residual {rms:.3e} exceeds tol {tol:.3e}")
     if len(lams) >= 2 and np.min(np.diff(lams)) < separation:
         raise IllPosed(
             f"recovered atoms closer than {separation}: {np.diff(lams).min()}"
         )
     total = m1 + float(np.sum(ws))
-    if abs(total - 1.0) > 1e-3:
+    if abs(total - 1.0) > MASS_SLACK:
         raise NotExtendable(f"fitted mass {total} is not a probability")
     atoms = tuple(
         (float(lam), float(w) / total) for lam, w in zip(lams, ws) if w / total > 1e-12

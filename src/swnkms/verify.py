@@ -11,6 +11,7 @@ the suite can prove the checker is able to fail.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,8 +92,8 @@ def kms_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     z = 1j * state.beta * dynamics_scale
     worst = ("", "")
     max_residual = 0.0
@@ -128,6 +129,8 @@ def gram_psd_check(
     """Smallest eigenvalue of G_ij = rho(w_i* w_j); pass iff >= -tol (1 + ||G||)."""
     if not words:
         raise ValueError("need at least one word")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     k = len(words)
     gram = np.zeros((k, k), dtype=complex)
     for i, wi in enumerate(words):

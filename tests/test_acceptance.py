@@ -234,8 +234,9 @@ def test_criterion_6_theorem_roundtrip():
 
 
 def _run_cli(*args):
+    # a hanging subcommand fails the criterion instead of stalling the suite
     return subprocess.run(
-        [sys.executable, "-m", "swnkms.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "swnkms.cli", *args], capture_output=True, text=True, timeout=120
     )
 
 

@@ -54,6 +54,12 @@ class TestRelations:
         assert result.returncode == 0
         assert "safe subspace" in result.stderr
 
+    @pytest.mark.parametrize("flag", ["--lambda=nan", "--lambda=1,inf", "--tol=nan", "--tol=0"])
+    def test_bad_lambda_or_tol_exits_2(self, flag):
+        result = run_cli("relations", "--lambda", "1", "--dim", "8", flag)
+        assert result.returncode == 2
+        assert "must be positive and finite" in result.stderr
+
 
 class TestEval:
     def test_xy_value(self, gibbs_file):
@@ -196,6 +202,20 @@ class TestKmsCheckCommand:
         )
         assert with_env.stdout == with_flag.stdout
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_tol_exits_2(self, gibbs_file, tol):
+        result = run_cli("kms-check", "--state", gibbs_file, "--trials", "2", f"--tol={tol}")
+        assert result.returncode == 2
+        assert "tol must be positive and finite" in result.stderr
+
+
+class TestGramCheckCommand:
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_bad_tol_exits_2(self, gibbs_file, tol):
+        result = run_cli("gram-check", "--state", gibbs_file, "--word", "X", f"--tol={tol}")
+        assert result.returncode == 2
+        assert "tol must be positive and finite" in result.stderr
+
 
 class TestRecover:
     def test_cartan_roundtrip(self, tmp_path):
@@ -257,6 +277,45 @@ class TestRecover:
         result = run_cli("recover", "--beta", "1.0")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("source, tol", [("cartan", "nan"), ("chi", "nan"), ("chi", "inf")])
+    def test_bad_tol_exits_2(self, tmp_path, source, tol):
+        # a ladder or chi table that recovers cleanly at the default tol
+        state = StateSpec.gibbs(1.5, 1.0)
+        if source == "cartan":
+            restriction = cartan_restriction(state)
+            path = tmp_path / "cartan.json"
+            path.write_text(json.dumps({
+                "m0": restriction.m0,
+                "atoms": [{"x": x, "mass": m} for x, m in restriction.atoms],
+            }))
+        else:
+            ts = np.linspace(-10, 10, 101)
+            path = tmp_path / "chi.csv"
+            path.write_text("".join(
+                f"{float(t)!r},{float(c.real)!r},{float(c.imag)!r}\n"
+                for t, c in zip(ts, chi_closed_form(state, ts))
+            ))
+        result = run_cli("recover", f"--{source}", str(path), "--beta", "1.0", f"--tol={tol}")
+        assert result.returncode == 2
+        assert "tol must be positive and finite" in result.stderr
+
+    def test_negative_max_atoms_exits_2(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        result = run_cli("recover", "--chi", str(empty), "--beta", "1.0", "--max-atoms", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+
+    def test_non_finite_chi_row_exits_2(self, tmp_path):
+        chi_path = tmp_path / "chi.csv"
+        rows = ["t,re_chi,im_chi", "nan,1.0,0.0"]
+        rows += [f"{float(t)!r},1.0,0.0" for t in np.linspace(-10, 10, 101)]
+        chi_path.write_text("\n".join(rows) + "\n")
+        result = run_cli("recover", "--chi", str(chi_path), "--beta", "1.0")
+        assert result.returncode == 2
+        assert "samples must be finite" in result.stderr
+        assert result.stdout == ""
+
 
 class TestDeterminism:
     def test_kms_report_bytes_identical(self, gibbs_file):
@@ -281,10 +340,12 @@ class TestDeterminism:
         ts = np.linspace(-10, 10, 101)
         rows = ["t,re_chi,im_chi"]
         for t, c in zip(ts, chi_closed_form(state, ts)):
-            rows.append(f"{float(t)!r},{c.real!r},{c.imag!r}")
+            rows.append(f"{float(t)!r},{float(c.real)!r},{float(c.imag)!r}")
         chi_path.write_text("\n".join(rows) + "\n")
         args = ("recover", "--chi", str(chi_path), "--beta", "1.0")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == second.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
 
 
 class TestRepExport:

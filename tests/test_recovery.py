@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from swnkms import recovery
 from swnkms.recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
 from swnkms.states import (
     CartanMeasure,
@@ -36,6 +38,11 @@ def measure_error(a: SpectralMeasure, b: SpectralMeasure) -> float:
     for (la, wa), (lb, wb) in zip(a.atoms, b.atoms):
         err = max(err, abs(la - lb), abs(wa - wb))
     return err
+
+
+def gaussian_samples():
+    ts = np.linspace(-10, 10, 101)
+    return [(float(t), complex(math.exp(-t * t))) for t in ts]
 
 
 class TestLadderPeel:
@@ -89,6 +96,12 @@ class TestLadderPeel:
     def test_rejects_non_finite_beta(self, beta):
         with pytest.raises(ValueError):
             ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), beta)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # tol nan used to slip past the guard and divide by a zero total mass
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), 1.0, tol=tol)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_randomized_roundtrips(self, beta):
@@ -177,6 +190,85 @@ class TestChiFit:
             samples = list(zip(ts, chi_closed_form(state, ts)))
             result = chi_fit(samples, beta, max_atoms=5)
             assert measure_error(result.measure, measure) <= 1e-6
+
+
+class TestChiFitInputs:
+    """Bad arguments and non-finite samples raise ValueError before any solver runs."""
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran on invalid input")
+
+        for name in ("least_squares", "lsq_linear", "svd"):
+            monkeypatch.setattr(recovery, name, refuse)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_rejects_bad_tol(self, no_solver, tol):
+        # at tol nan or inf a Gaussian used to be accepted with an invented atom
+        with pytest.raises(ValueError, match="tol must be positive and finite") as info:
+            chi_fit(gaussian_samples(), 1.0, max_atoms=2, tol=tol)
+        assert info.type is ValueError
+
+    def test_rejects_negative_max_atoms(self, no_solver):
+        # no samples and max_atoms -1 used to return the vacuum with a NaN residual
+        with pytest.raises(ValueError, match="max_atoms"):
+            chi_fit([], 1.0, max_atoms=-1)
+
+    @pytest.mark.parametrize("index, sample", [
+        (0, (math.nan, 1.0 + 0j)),
+        (50, (0.0, complex(math.nan, 0.0))),
+        (50, (0.0, complex(0.0, math.inf))),
+        (100, (math.inf, 1.0 + 0j)),
+    ])
+    def test_rejects_non_finite_samples(self, no_solver, index, sample):
+        samples = gaussian_samples()
+        samples[index] = sample
+        with pytest.raises(ValueError, match="samples must be finite"):
+            chi_fit(samples, 1.0, max_atoms=2)
+
+
+class TestChiFitPipeline:
+    @pytest.fixture
+    def polishes(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "least_squares", counted)
+        return calls
+
+    def test_gaussian_rejection_polishes_at_most_twice(self, polishes):
+        with pytest.raises(NotExtendable):
+            chi_fit(gaussian_samples(), 1.0, max_atoms=5)
+        assert len(polishes) <= 2
+
+    def test_uniform_accept_polishes_at_most_twice(self, polishes):
+        state = StateSpec.gibbs(2.0, 1.0)
+        ts = np.linspace(-10, 10, 101)
+        result = chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, max_atoms=5)
+        assert measure_error(result.measure, state.as_measure()) <= 1e-6
+        assert len(polishes) <= 2
+
+    def test_nonuniform_accept_polishes_at_most_twice(self, polishes):
+        state = StateSpec.gibbs(1.5, 1.0)
+        ts = np.sort(np.random.default_rng(3).uniform(-10, 10, 120))
+        result = chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, max_atoms=2, tol=1e-5)
+        assert measure_error(result.measure, state.as_measure()) <= 1e-5
+        assert len(polishes) <= 2
+
+    def test_noisy_uniform_fit_needs_periodogram_fallback(self):
+        # the pencil seed misses tol on this noise draw; the periodogram seed fits
+        measure = SpectralMeasure(0.3, ((0.5, 0.3), (2.8, 0.4)))
+        ts = np.linspace(-10, 10, 101)
+        rng = np.random.default_rng(28)
+        noise = 1e-4 * (rng.standard_normal(101) + 1j * rng.standard_normal(101))
+        chis = chi_closed_form(StateSpec.mixture(measure, 0.6), ts) + noise
+        result = chi_fit(list(zip(ts, chis)), 0.6, max_atoms=2, tol=1e-3)
+        assert len(result.measure.atoms) == 2
+        assert measure_error(result.measure, measure) <= 1e-3
 
 
 class TestRoutesAgree:
