@@ -236,6 +236,28 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
 
 
+def weight_zero_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The weight-zero part of a * b: the sum over w of a_w * b_{-w}.
+
+    a_w holds the monomials of a with m - n = w.  A product of monomials has
+    the sum of their weights, so no other pair reaches weight zero, and the
+    pairs that do are the only part of a * b a covariant state can see.
+    """
+    a_by_weight, b_by_weight = _by_weight(a), _by_weight(b)
+    out = []
+    for w, a_w in a_by_weight.items():
+        if -w in b_by_weight:
+            out.extend((AlgebraElement(a_w) * AlgebraElement(b_by_weight[-w])).terms)
+    return AlgebraElement(out)
+
+
+def _by_weight(a: AlgebraElement) -> dict[int, list[tuple[MonKey, FunctionExpr]]]:
+    groups: dict[int, list] = {}
+    for (m, n), f in a.terms:
+        groups.setdefault(m - n, []).append(((m, n), f))
+    return groups
+
+
 # -- the closed-form monomial product -----------------------------------------
 
 

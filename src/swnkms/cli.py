@@ -164,6 +164,8 @@ def cmd_eval(args) -> int:
 def cmd_chi(args) -> int:
     if args.steps < 2:
         raise CliError("steps must be at least 2")
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise CliError("t-min and t-max must be finite")
     state = _load_state_arg(args.state)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     chi = chi_closed_form(state, ts)
@@ -285,8 +287,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    if args.lam <= 0:
-        raise CliError("lambda must be positive")
+    if not 0 < args.lam < math.inf:
+        raise CliError("lambda must be positive and finite")
     if args.dim < 2:
         raise CliError("dim must be at least 2")
     rep = build_rep(args.lam, args.dim)

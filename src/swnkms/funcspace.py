@@ -74,7 +74,7 @@ class FunctionExpr:
     @property
     def degree(self) -> int:
         """Largest power of x present (-1 for the zero function)."""
-        return max((n for n, _, _ in self.terms), default=-1)
+        return self.terms[-1][0] if self.terms else -1  # terms are sorted by power
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -154,11 +154,19 @@ class FunctionExpr:
         )
 
     def evaluate_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a real grid."""
+        """Vectorized evaluation on a real grid.
+
+        The polynomial sum c x^n of each distinct frequency t is formed first,
+        so e^{i t x} is evaluated once per nonzero t and never for t = 0.
+        """
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape, dtype=complex)
+        polys: dict[float, np.ndarray] = {}
         for n, t, c in self.terms:
-            out += c * xs**n * np.exp(1j * t * xs)
+            term = c * xs**n
+            polys[t] = polys[t] + term if t in polys else term
+        out = np.zeros(xs.shape, dtype=complex)
+        for t, poly in polys.items():
+            out += poly if t == 0.0 else poly * np.exp(1j * t * xs)
         return out
 
     # -- comparison / hashing ----------------------------------------------

@@ -18,6 +18,7 @@ on that safe subspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +38,16 @@ class TruncatedRep:
 
 def scalar_product_weights(lam: float, count: int) -> np.ndarray:
     """Squared norms n_p of the raw basis vectors, p = 0..count-1."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     p = np.arange(count - 1, dtype=float)
     return np.concatenate(([1.0], np.cumprod((lam + p) / (p + 1))))
 
 
 def build_rep(lam: float, dim: int) -> TruncatedRep:
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     if dim < 2:
         raise ValueError(f"dim must be at least 2, got {dim}")
     p = np.arange(dim - 1, dtype=float)

@@ -38,6 +38,14 @@ MASS_TOL = 1e-12
 # different base atoms (spacing-2 overlaps).
 POSITION_ATOL = 1e-9
 
+# Cached rung-weight arrays, one per (lambda, beta, depth, m).  One state of
+# up to 3 atoms needs at most 3 atoms x 2 depths x 9 values of m = 54; 128
+# holds the 98 of the six states a verify benchmark run cycles through.  An
+# entry holds depth + 1 floats: 0.5-2 KiB at the usual 64-256 rungs, 8 MiB at
+# the 2^20-rung cap (beta below ~1e-4), so 1 GiB if every entry sat at the
+# cap, plus 256 MiB for the 16 cached ``_ladder`` pairs.
+RUNG_CACHE = 128
+
 
 class ConvergenceError(RuntimeError):
     """A truncated series failed to meet its tolerance within the cap."""
@@ -221,12 +229,26 @@ def ladder_depth(beta: float, tol: float = 1e-13, lam_max: float = 0.0, growth: 
     return depth
 
 
+@lru_cache(maxsize=16)
 def _ladder(beta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1."""
+    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1.
+
+    Cached; the arrays are read-only.
+    """
     q = math.exp(-beta)
     ps = np.arange(depth + 1, dtype=float)
     masses = (1.0 - q) * q**ps
-    return ps, masses / masses.sum()
+    masses /= masses.sum()
+    ps.flags.writeable = masses.flags.writeable = False
+    return ps, masses
+
+
+@lru_cache(maxsize=RUNG_CACHE)
+def _rung_weights(lam: float, beta: float, depth: int, m: int) -> np.ndarray:
+    """diag_m(p) (1-q) q^p / Z on the rungs p = 0..depth: the trace weights of X^m Y^m."""
+    weights = ladder_diagonal(lam, depth + 1, m) * _ladder(beta, depth)[1]
+    weights.flags.writeable = False
+    return weights
 
 
 def _growth_exponent(a: AlgebraElement) -> int:
@@ -234,15 +256,19 @@ def _growth_exponent(a: AlgebraElement) -> int:
 
 
 def _gibbs_trace(lam: float, beta: float, a: AlgebraElement, tol: float) -> complex:
+    """Trace of a against the Gibbs ladder at lam, over ``ladder_depth`` + 1 rungs.
+
+    The rung weights of each X^m Y^m come from one shared table per
+    (lam, beta, depth, m) (``_rung_weights``), so the elements evaluated
+    against one state reuse them; only F is evaluated per call.
+    """
     depth = ladder_depth(beta, tol, lam, _growth_exponent(a))
-    ps, masses = _ladder(beta, depth)
-    eigens = lam + 2.0 * ps
+    eigens = lam + 2.0 * _ladder(beta, depth)[0]
     total = 0j
     for (m, n), f in a.terms:
         if m != n:
             continue  # single-band matrix: off-weight monomials are traceless
-        diag = ladder_diagonal(lam, depth + 1, m)
-        total += np.sum(diag * f.evaluate_array(eigens) * masses)
+        total += np.sum(_rung_weights(lam, beta, depth, m) * f.evaluate_array(eigens))
     return complex(total)
 
 
@@ -253,7 +279,9 @@ def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> compl
     lambda and the element's growth exponent, so the truncation error is at
     most tol times the sum of the coefficients' absolute values over the
     element's Cartan functions F (|diag_m(p)| <= (lam + 2p)^{2m} and
-    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.
+    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.  The rung
+    weights diag_m(p) (1-q) q^p / Z are shared between calls through a
+    bounded cache of ``RUNG_CACHE`` read-only arrays.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

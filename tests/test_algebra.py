@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from swnkms import verify
 from swnkms.algebra import (
     AlgebraElement,
     H,
@@ -18,6 +19,7 @@ from swnkms.algebra import (
     from_swn_basis,
     reduce_word,
     to_swn_basis,
+    weight_zero_product,
     word_of,
 )
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
@@ -206,3 +208,21 @@ class TestGrading:
     def test_weights_listing(self):
         a = X * Y + X + N(F_TEST) - Y * Y
         assert a.weights == (-2, 0, 1)
+
+
+class TestWeightZeroProduct:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_is_weight_zero_part_of_product(self, seed, degree):
+        rng = np.random.default_rng(seed)
+        a = verify.random_element(rng, degree)
+        b = verify.random_element(rng, degree)
+        got = weight_zero_product(a, b)
+        assert all(m == n for (m, n), _ in got.terms)
+        full = a * b
+        expected = AlgebraElement([(key, f) for key, f in full.terms if key[0] == key[1]])
+        assert got.isclose(expected, 1e-12)
+
+    def test_keeps_only_cancelling_pairs(self):
+        assert weight_zero_product(X * X, X + N(F_TEST)).is_zero
+        assert weight_zero_product(X, Y + X) == (X * Y)

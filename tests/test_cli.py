@@ -163,6 +163,13 @@ class TestChi:
         result = run_cli("chi", "--state", gibbs_file, "--steps", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("bound", ["--t-min=nan", "--t-max=inf", "--t-min=-inf", "--t-max=nan"])
+    def test_non_finite_time_bound_exits_2(self, gibbs_file, bound):
+        result = run_cli("chi", "--state", gibbs_file, "--steps", "3", bound)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "must be finite" in result.stderr
+
 
 class TestKmsCheckCommand:
     def test_valid_state_exits_0(self, gibbs_file):
@@ -187,6 +194,12 @@ class TestKmsCheckCommand:
     def test_zero_trials_exits_2(self, gibbs_file):
         result = run_cli("kms-check", "--state", gibbs_file, "--trials", "0")
         assert result.returncode == 2
+
+    def test_negative_degree_exits_2(self, gibbs_file):
+        result = run_cli("kms-check", "--state", gibbs_file, "--trials", "2", "--degree", "-1")
+        assert result.returncode == 2
+        assert "max_degree must be >= 0" in result.stderr
+        assert result.stdout == ""
 
     def test_seed_env_default(self, gibbs_file, monkeypatch):
         import os
@@ -357,3 +370,10 @@ class TestRepExport:
         assert len(matx) == 4
         cartan = (tmp_path / "rep_cartan.csv").read_text().splitlines()
         assert [float(v) for v in cartan] == [1.0, 3.0, 5.0, 7.0]
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, lam):
+        result = run_cli("rep", "--lambda", lam, "--dim", "4", "--out", str(tmp_path / "rep_"))
+        assert result.returncode == 2
+        assert "positive and finite" in result.stderr
+        assert list(tmp_path.iterdir()) == []

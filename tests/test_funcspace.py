@@ -111,6 +111,32 @@ class TestEvaluate:
         for x, v in zip(xs, vals):
             assert v == pytest.approx(f(float(x)))
 
+    @given(function_exprs)
+    def test_array_matches_scalar_on_mixed_frequencies(self, f):
+        import numpy as np
+
+        xs = np.linspace(-3.0, 3.0, 13)
+        for x, v in zip(xs, f.evaluate_array(xs)):
+            envelope = sum(abs(c) * max(1.0, abs(x)) ** n for n, _, c in f.terms)
+            assert abs(v - f(float(x))) <= 1e-14 * (1.0 + envelope)
+
+    def test_one_exponential_per_nonzero_frequency(self, monkeypatch):
+        import numpy as np
+
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda z: calls.append(z) or exp(z))
+        xs = np.arange(-4.0, 5.0)
+        poly = fexpr([(2, 0.0, 1.0), (1, 0.0, -3.0), (0, 0.0, 2.0)])
+        # integer points: a frequency-zero polynomial is evaluated exactly
+        assert poly.evaluate_array(xs).tolist() == [x * x - 3 * x + 2 for x in xs]
+        assert calls == []
+        mixed = poly + fexpr([(1, 0.5, 1j), (0, 0.5, 2.0), (3, -1.0, 0.5)])
+        vals = mixed.evaluate_array(xs)
+        assert len(calls) == 2
+        for x, v in zip(xs, vals):
+            assert v == pytest.approx(mixed(float(x)))
+
 
 class TestCanonicalForm:
     def test_zero_coefficients_dropped(self):
@@ -128,6 +154,15 @@ class TestCanonicalForm:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             fexpr([(-1, 0.0, 1.0)])
+
+    @given(function_exprs)
+    def test_degree_is_largest_power(self, f):
+        assert f.degree == max((n for n, _, _ in f.terms), default=-1)
+
+    def test_zero_has_degree_minus_one(self):
+        assert FunctionExpr.zero().degree == -1
+        assert (X_VAR - X_VAR).degree == -1
+        assert fexpr([(3, 0.5, 1.0), (1, 0.0, 2.0)]).degree == 3
 
     def test_hashable_and_equal(self):
         f = fexpr([(1, 0.5, 2.0)])

@@ -36,6 +36,13 @@ class TestBuildRep:
         with pytest.raises(ValueError):
             build_rep(1.0, 1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_rep(lam, 8)
+        with pytest.raises(ValueError, match="positive and finite"):
+            scalar_product_weights(lam, 8)
+
 
 class TestScalarProductWeights:
     def test_recurrence_lambda_two(self):

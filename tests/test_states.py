@@ -5,8 +5,9 @@ import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+from swnkms import states
 from swnkms.algebra import AlgebraElement, N, X, Y, apply_automorphism
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
 from swnkms.states import (
@@ -135,6 +136,24 @@ class TestEvalTracePinned:
         mixture = StateSpec.mixture(SpectralMeasure(0.0, ((1.7, 1.0),)), 0.9)
         for a in (N(X_VAR), X * Y, X * X * Y * Y * N(X_VAR)):
             assert eval_trace(gibbs, a) == pytest.approx(eval_trace(mixture, a))
+
+    def test_rung_tables_are_read_only_and_shared(self):
+        state = StateSpec.mixture(SpectralMeasure(0.2, ((1.3, 0.5), (2.9, 0.3))), 0.8)
+        a = X * X * Y * Y * N(FunctionExpr([(1, 0.0, 1.0), (0, 0.6, 2.0 - 1j)])) + X * Y + N(X_VAR)
+        states._rung_weights.cache_clear()
+        states._ladder.cache_clear()
+        cold = eval_trace(state, a)
+        assert states._rung_weights.cache_info().currsize > 0
+        warm = eval_trace(state, a)
+        assert states._rung_weights.cache_info().hits > 0
+        states._rung_weights.cache_clear()
+        states._ladder.cache_clear()
+        assert eval_trace(state, a) == warm == cold
+        depth = states.ladder_depth(0.8, 1e-13, 1.3, 5)
+        for array in (states._rung_weights(1.3, 0.8, depth, 2), *states._ladder(0.8, depth)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_covariance_under_dynamics(self):
         state = StateSpec.gibbs(1.5, 1.0)
@@ -388,6 +407,8 @@ class TestKmsShiftSum:
         beta=st.floats(0.5, 3.0),
         depth=st.integers(10, 80),
     )
+    # a subnormal coefficient: 1e-12 of its scale underflows to 0
+    @example(terms=[(0, 0.0, 2.225073858507e-311 + 0j)], beta=3.0, depth=10)
     def test_closed_form_matches_truncated_sum(self, terms, beta, depth):
         f = FunctionExpr(terms)
         q = math.exp(-beta)
@@ -406,7 +427,9 @@ class TestKmsShiftSum:
             ratio = q * (1.0 + 2.0 / first) ** max_n
             tail = q ** (depth + 1) * envelope(first) / (1.0 - ratio)
             scale = sum(q**j * envelope(x + 2.0 * j) for j in range(1, depth + 1))
-            assert abs(closed(x) - brute(x)) <= tail + 1e-12 * scale
+            # rounding of subnormal results is absolute: a few ulp(0) per summed term
+            underflow = 4 * math.ulp(0.0) * depth * len(terms)
+            assert abs(closed(x) - brute(x)) <= tail + 1e-12 * scale + underflow
 
 
 class TestStateSerialization:

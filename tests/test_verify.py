@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from swnkms import algebra
 from swnkms.algebra import AlgebraElement, N, X, Y
 from swnkms.funcspace import X_VAR, FunctionExpr
 from swnkms.states import CartanMeasure, SpectralMeasure, StateSpec
@@ -70,6 +71,38 @@ class TestKmsCheck:
         with pytest.raises(ValueError):
             kms_check(StateSpec.gibbs(1.0, 1.0), tol=0.0)
 
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            kms_check(StateSpec.gibbs(1.0, 1.0), max_degree=-1)
+
+
+class TestWeightZeroProducts:
+    """kms_check and gram_psd_check multiply only pairs whose weights cancel."""
+
+    @pytest.fixture
+    def weights_seen(self, monkeypatch):
+        seen = []
+        original = algebra._monomial_product
+
+        def counting(m1, n1, f1, m2, n2, f2):
+            seen.append((m1 - n1) + (m2 - n2))
+            return original(m1, n1, f1, m2, n2, f2)
+
+        monkeypatch.setattr(algebra, "_monomial_product", counting)
+        return seen
+
+    def test_kms_check(self, weights_seen):
+        state = StateSpec.mixture(SpectralMeasure(0.3, ((1.0, 0.4), (2.7, 0.3))), LN2)
+        for dynamics_scale in (1.0, 2.0):
+            kms_check(state, max_degree=4, trials=30, seed=3, dynamics_scale=dynamics_scale)
+        assert weights_seen
+        assert set(weights_seen) == {0}
+
+    def test_gram_psd_check(self, weights_seen):
+        gram_psd_check(StateSpec.gibbs(1.5, 1.0), WORDS + [CUBE])
+        assert weights_seen
+        assert set(weights_seen) == {0}
+
 
 class TestRandomElements:
     def test_degree_bounded(self):
@@ -94,6 +127,8 @@ WORDS = [
     N(X_VAR),
     X * N(X_VAR),
 ]
+
+CUBE = (X + Y + N(X_VAR)) ** 3
 
 
 class TestGramPsd:
