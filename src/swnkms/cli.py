@@ -87,7 +87,7 @@ def _load_state_arg(path: str) -> StateSpec:
         return load_state(path)
     except FileNotFoundError as exc:
         raise CliError(f"state file not found: {path}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise CliError(f"invalid state file {path}: {exc}") from exc
 
 
@@ -230,7 +230,7 @@ def _load_cartan(path: str) -> CartanMeasure:
         return CartanMeasure(atoms=atoms, m0=data.get("m0", 0.0))
     except FileNotFoundError as exc:
         raise CliError(f"cartan file not found: {path}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise CliError(f"invalid cartan file {path}: {exc}") from exc
 
 

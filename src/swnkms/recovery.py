@@ -3,12 +3,11 @@
 Two independent routes:
 
 * ``ladder_peel`` works in the atom domain.  A valid restriction is
-  m1 delta_0 + sum_k w_k Ladder(lam_k) with Ladder(lam) = sum_p (1-q) q^p
-  delta_{lam+2p}; the smallest positive support point always belongs to
-  sigma, so repeatedly reading off w = mass/(1-q) there and subtracting the
-  full ladder deconvolves overlapping components.  Failure (negative
-  intermediate mass, unconsumed mass) means no KMS extension exists at this
-  beta.
+  nu = m1 delta_0 + sigma * Ladder with Ladder = (1-q) sum_p q^p delta_{2p},
+  a convolution with the local inverse sigma(x) = (nu(x) - q nu(x-2)) / (1-q)
+  on x > 0, read in one pass over the support, so overlapping components
+  separate without subtracting ladders.  Failure (sigma below -tol/(1-q),
+  unconsumed mass) means no KMS extension exists at this beta.
 
 * ``chi_fit`` works in the frequency domain.  chi(t) = m1 + g(t) sum_k w_k
   e^{it lam_k} with g(t) = (1-q)/(1-q e^{2it}); multiplying samples by
@@ -25,7 +24,6 @@ uniqueness check.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,7 +31,7 @@ import numpy as np
 from scipy.linalg import hankel, pinv, svd
 from scipy.optimize import least_squares, lsq_linear
 
-from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure
+from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure, merge_positions
 
 
 class NotExtendable(ValueError):
@@ -62,85 +60,60 @@ class RecoveryResult:
 # -- atom-domain route -----------------------------------------------------------
 
 
-class _AtomBag:
-    """Position -> mass with tolerance-based position matching."""
+def ladder_peel(cartan: CartanMeasure, beta: float, tol: float = 1e-8) -> RecoveryResult:
+    """Invert nu = m1 delta_0 + sigma * (1-q) sum_p q^p delta_{2p}, q = e^{-beta}.
 
-    def __init__(self, atol: float):
-        self.atol = atol
-        self.keys: list[float] = []
-        self.mass: dict[float, float] = {}
+    Mass within POSITION_ATOL of 0 is m1.  On x > 0 the convolution has the
+    local inverse r(x) = nu(x) - q nu(x-2) = (1-q) sigma(x), read in one pass
+    over the merged support points and one rung past each.  A point with
+    r >= tol is an atom of weight r/(1-q); the rest are absent (finite inputs
+    are truncated ladders), so nu(x-2) is taken net of the mass left
+    unconsumed there.  The residual is the unconsumed mass: |nu - recovered
+    ladders| summed over the points and the ladders' tails past them.
 
-    def _find(self, x: float) -> float | None:
-        i = bisect.bisect_left(self.keys, x)
-        for k in (i - 1, i):
-            if 0 <= k < len(self.keys) and abs(self.keys[k] - x) <= self.atol:
-                return self.keys[k]
-        return None
-
-    def add(self, x: float, mass: float) -> None:
-        key = self._find(x)
-        if key is None:
-            bisect.insort(self.keys, x)
-            self.mass[x] = mass
-        else:
-            self.mass[key] += mass
-
-    def items(self):
-        return [(k, self.mass[k]) for k in self.keys]
-
-
-def ladder_peel(
-    cartan: CartanMeasure,
-    beta: float,
-    tol: float = 1e-8,
-    pos_atol: float = POSITION_ATOL,
-) -> RecoveryResult:
-    """Deconvolve a Cartan measure into m1 delta_0 + sum w_k Ladder(lam_k, beta).
-
-    Atoms with |mass| < tol are treated as absent (finite inputs are
-    truncated ladders).  Raises NotExtendable if any intermediate mass drops
-    below -tol or unconsumed mass above tol remains.
+    Raises NotExtendable on mass above tol at x < 0, on r < -tol, on a
+    residual above tol, or when the recovered mass is not 1.
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     q = math.exp(-beta)
-    bag = _AtomBag(pos_atol)
     m0 = cartan.m0
+    positive = []
     for x, mass in cartan.atoms:
-        if abs(x) <= pos_atol:
+        if abs(x) <= POSITION_ATOL:
             m0 += mass
         elif x < 0:
             if mass > tol:
                 raise NotExtendable(f"mass {mass} at negative position x={x}")
         else:
-            bag.add(x, mass)
+            positive.append((x, mass))
+
+    # each point and one rung past it, where a ladder cut short leaves r < 0
+    points, nu = np.array(
+        merge_positions(positive + [(x + 2.0, 0.0) for x, _ in positive])
+    ).reshape(-1, 2).T
+    i = np.searchsorted(points, points - 2.0 - POSITION_ATOL)
+    below = np.where(np.abs(points[i] - (points - 2.0)) <= POSITION_ATOL, i, -1)
+    nu = nu.tolist()
 
     recovered: list[tuple[float, float]] = []
-    subtract_floor = tol * 1e-3
-    while True:
-        candidate = None
-        for pos, mass in bag.items():
-            if mass < -tol:
-                raise NotExtendable(f"negative residual mass {mass} at x={pos}")
-            if abs(mass) >= tol:
-                candidate = (pos, mass)
-                break
-        if candidate is None:
-            break
-        pos, mass = candidate
-        w = mass / (1.0 - q)
-        recovered.append((pos, w))
-        p = 0
-        while True:
-            delta = w * (1.0 - q) * q**p
-            if p > 0 and delta < subtract_floor:
-                break
-            bag.add(pos + 2.0 * p, -delta)
-            p += 1
-
-    leftover = sum(abs(mass) for _, mass in bag.items())
+    unconsumed: list[float] = []  # nu minus the recovered ladders, point by point
+    for x, mass, j in zip(points.tolist(), nu, below.tolist()):
+        if j >= 0:
+            mass -= q * (nu[j] - unconsumed[j])
+        if mass < -tol:
+            raise NotExtendable(f"negative residual mass {mass} at x={x}")
+        if mass >= tol:
+            recovered.append((x, mass / (1.0 - q)))
+            mass = 0.0
+        unconsumed.append(mass)
+    # past the last point x of each chain the ladders run on as q^k (nu - ladders)(x)
+    last = np.ones(points.size, dtype=bool)
+    last[below[below >= 0]] = False
+    unconsumed = np.abs(unconsumed)
+    leftover = float(unconsumed.sum() + q / (1.0 - q) * unconsumed[last].sum())
     if leftover > tol:
         raise NotExtendable(f"unconsumed mass {leftover} after peeling")
     total = m0 + sum(w for _, w in recovered)

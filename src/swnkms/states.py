@@ -323,7 +323,7 @@ def cartan_restriction(state: StateSpec) -> CartanMeasure:
     Each Gibbs component contributes the geometric ladder (1-q) q^p at
     lam + 2p; the truncated ladder is renormalized (``_ladder``) so each
     component keeps its full weight.  Positions from different ladders closer
-    than 1e-9 are merged.
+    than POSITION_ATOL are merged (``merge_positions``).
     """
     measure = state.as_measure()
     ps, rung_masses = _ladder(state.beta, ladder_depth(state.beta, lam_max=measure.max_lambda))
@@ -331,14 +331,18 @@ def cartan_restriction(state: StateSpec) -> CartanMeasure:
     for lam, w in measure.atoms:
         positions = lam + 2.0 * ps
         collected.extend(zip(positions.tolist(), (w * rung_masses).tolist()))
-    collected.sort()
+    return CartanMeasure(atoms=merge_positions(collected), m0=measure.m1)
+
+
+def merge_positions(pairs) -> tuple[tuple[float, float], ...]:
+    """Sort (x, mass) pairs; sum each run of positions within POSITION_ATOL of its first."""
     merged: list[list[float]] = []
-    for x, mass in collected:
-        if merged and abs(x - merged[-1][0]) <= POSITION_ATOL:
+    for x, mass in sorted(pairs):
+        if merged and x - merged[-1][0] <= POSITION_ATOL:
             merged[-1][1] += mass
         else:
             merged.append([x, mass])
-    return CartanMeasure(atoms=tuple((x, m) for x, m in merged), m0=measure.m1)
+    return tuple((x, m) for x, m in merged)
 
 
 def cartan_moment(measure: CartanMeasure, f: FunctionExpr) -> complex:

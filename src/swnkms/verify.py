@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraElement, weight_zero_product
 from .funcspace import FunctionExpr
 from .grammar import format_element
-from .states import CartanMeasure, StateSpec, cartan_restriction, eval_trace
+from .states import CartanMeasure, StateSpec, eval_trace
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,19 @@ class SupportReport:
 def support_positivity_check(
     target: StateSpec | CartanMeasure, atol: float = 1e-12
 ) -> SupportReport:
-    """All Cartan mass must sit at x >= 0 (the spectrum-positivity conclusion)."""
-    measure = target if isinstance(target, CartanMeasure) else cartan_restriction(target)
-    positions = [x for x, mass in measure.atoms if mass > 0.0]
-    if measure.m0 > 0.0:
+    """All Cartan mass must sit at x >= 0 (the spectrum-positivity conclusion).
+
+    A state's Cartan mass sits at 0 (m1) and on the Gibbs ladders lam + 2p,
+    so its measure is read directly: each ladder's smallest point is lam.
+    """
+    if isinstance(target, CartanMeasure):
+        positions = [x for x, mass in target.atoms if mass > 0.0]
+        at_zero = target.m0 > 0.0
+    else:
+        measure = target.as_measure()
+        positions = [lam for lam, _ in measure.atoms]
+        at_zero = measure.m1 > 0.0
+    if at_zero:
         positions.append(0.0)
     min_pos = min(positions, default=0.0)
     offending = [x for x in positions if x < -atol]

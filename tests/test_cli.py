@@ -112,6 +112,29 @@ class TestEval:
         assert "tol must be positive and finite" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("recover", "--cartan", '{"atoms": [{"x": null, "mass": 1}]}'),
+        ("recover", "--cartan", '{"atoms": [1, 2]}'),
+        ("eval", "--state", '{"beta": 1.0, "kind": "gibbs", "lambda": null}'),
+        ("eval", "--state",
+         '{"beta": 1.0, "kind": "mixture", "m1": 0.0, "atoms": [{"lambda": null, "w": 1.0}]}'),
+        ("eval", "--state", '[{"beta": 1.0, "kind": "vacuum"}]'),
+    ],
+    ids=["cartan-null-x", "cartan-bare-numbers", "gibbs-null-lambda",
+         "mixture-null-lambda", "state-array"],
+)
+def test_malformed_json_exits_2(tmp_path, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    extra = ["--beta", "1.0"] if command == "recover" else ["--expr", "X Y"]
+    result = run_cli(command, flag, str(path), *extra)
+    assert result.returncode == 2
+    assert f"invalid {flag[2:]} file" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 class TestLazyRecoveryImport:
     """Only ``recover`` loads swnkms.recovery, and with it scipy."""
 
@@ -270,6 +293,13 @@ class TestRecover:
             "atoms": [{"x": x, "mass": m} for x, m in atoms],
         }))
         result = run_cli("recover", "--cartan", str(cartan_path), "--beta", "1.0")
+        assert result.returncode == 1
+        assert "NotExtendable" in result.stderr
+
+    def test_bare_delta_at_small_beta_exits_1(self, tmp_path):
+        cartan_path = tmp_path / "delta.json"
+        cartan_path.write_text(json.dumps({"m0": 0.0, "atoms": [{"x": 1.0, "mass": 1.0}]}))
+        result = run_cli("recover", "--cartan", str(cartan_path), "--beta", "1e-5")
         assert result.returncode == 1
         assert "NotExtendable" in result.stderr
 

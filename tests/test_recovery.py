@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,11 +61,46 @@ class TestLadderPeel:
         assert result.measure.atoms == ()
         assert result.residual == 0.0
 
-    def test_overlapping_ladders(self):
-        measure = SpectralMeasure(0.0, ((1.0, 0.5), (3.0, 0.5)))
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            SpectralMeasure(0.0, ((1.0, 0.5), (3.0, 0.5))),
+            SpectralMeasure(0.0, ((1.0, 0.2), (3.0, 0.5), (5.0, 0.3))),
+            SpectralMeasure(0.25, ((1.0, 0.5), (3.0, 0.25))),
+        ],
+        ids=["1-3", "1-3-5", "vacuum-1-3"],
+    )
+    def test_overlapping_ladders(self, measure):
         state = StateSpec.mixture(measure, 1.0)
         result = ladder_peel(cartan_restriction(state), 1.0)
         assert measure_error(result.measure, measure) <= 1e-10
+        assert result.residual <= 1e-10
+
+    @pytest.mark.parametrize("rungs, extendable", [(40, True), (5, False)])
+    def test_truncated_ladder(self, rungs, extendable):
+        # a Gibbs(1.5) ladder cut short and renormalized: 40 rungs leave a tail
+        # of q^40 ~ 4e-18, 5 rungs a missing tail far above tol
+        q = math.exp(-1.0)
+        masses = (1.0 - q) * q ** np.arange(rungs)
+        masses /= masses.sum()
+        cartan = CartanMeasure(atoms=tuple(zip(1.5 + 2.0 * np.arange(rungs), masses)))
+        if extendable:
+            result = ladder_peel(cartan, 1.0)
+            assert measure_error(result.measure, SpectralMeasure(0.0, ((1.5, 1.0),))) <= 1e-12
+        else:
+            with pytest.raises(NotExtendable, match="negative residual mass"):
+                ladder_peel(cartan, 1.0)
+
+    def test_small_beta_rejects_in_little_memory(self):
+        # the inverse looks one rung ahead; it never lays out the ~2e5-rung ladder
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotExtendable):
+                ladder_peel(CartanMeasure(atoms=((1.0, 1.0),)), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_perturbed_mass_not_extendable(self):
         state = StateSpec.gibbs(1.5, 1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from swnkms import algebra
+from swnkms import algebra, states, verify
 from swnkms.algebra import AlgebraElement, N, X, Y
 from swnkms.funcspace import X_VAR, FunctionExpr
 from swnkms.states import CartanMeasure, SpectralMeasure, StateSpec
@@ -189,3 +189,19 @@ class TestSupportPositivity:
     @pytest.mark.parametrize("state", STATES)
     def test_grid_states_pass(self, state):
         assert support_positivity_check(state).passed
+
+    def test_state_skips_cartan_restriction(self, monkeypatch):
+        # a state's support is read off its measure, not a truncated ladder
+        calls = []
+        original = states.cartan_restriction
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(states, "cartan_restriction", counted)
+        # a name imported into verify would bypass the patch on states
+        monkeypatch.setattr(verify, "cartan_restriction", counted, raising=False)
+        for state in STATES:
+            support_positivity_check(state)
+        assert calls == []
