@@ -44,8 +44,8 @@ from .verify import KmsReport, gram_psd_check, kms_check, support_positivity_che
 
 __version__ = "0.1.0"
 
-# Recovery loads scipy (~50 MB, most of the import time); it is imported on
-# first use.
+# Recovery is imported on first use; scipy, which only its ``chi_fit`` needs,
+# loads on that function's first solve.
 _RECOVERY_NAMES = ("IllPosed", "NotExtendable", "RecoveryResult", "chi_fit", "ladder_peel")
 
 

@@ -14,14 +14,15 @@ one-parameter automorphism group scales X by e^{iz} and Y by e^{-iz}.
 
 ``reduce_word`` exposes the raw rewriting engine (used to cross-check the
 closed-form product and for confluence experiments with randomized redex
-choice); ``AlgebraElement`` multiplication uses the memoized reordering of
-Y^n X^m plus the Cartan shift bookkeeping, which is the same rewrite system
-applied in a fixed order.
+choice); ``AlgebraElement`` multiplication uses the memoized closed-form
+reordering of Y^n X^m plus the Cartan shift bookkeeping, which gives the same
+canonical forms.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -263,16 +264,28 @@ def _by_weight(a: AlgebraElement) -> dict[int, list[tuple[MonKey, FunctionExpr]]
 
 @lru_cache(maxsize=None)
 def _reorder_yx(n: int, m: int) -> AlgebraElement:
-    """Canonical form of the word Y^n X^m, via the rewrite engine."""
-    word = (("Y",),) * n + (("X",),) * m
-    return reduce_word(word)
+    """Canonical form of the word Y^n X^m, in closed form.
+
+    Y^n X^m = sum_k (-1)^k k! C(n,k) C(m,k) X^{m-k} Y^{n-k} N_{P_k} with
+    P_k(x) = prod_{j<k} (x + m - n + j), by induction on n from
+    Y X^m = X^m Y - m X^{m-1} N_{x+m-1}.  The coefficients are exact
+    integers; ``reduce_word`` is the oracle the tests hold this to.
+    """
+    out = []
+    poly = [1]  # coefficients of P_k, lowest power first
+    for k in range(min(n, m) + 1):
+        scale = (-1) ** k * math.factorial(k) * math.comb(n, k) * math.comb(m, k)
+        out.append(((m - k, n - k), FunctionExpr((p, 0.0, scale * c) for p, c in enumerate(poly))))
+        root = m - n + k  # P_{k+1} = P_k (x + root)
+        poly = [root * c + below for c, below in zip(poly + [0], [0] + poly)]
+    return AlgebraElement(out)
 
 
 def _monomial_product(m1, n1, f1, m2, n2, f2):
     """Normal-order (X^m1 Y^n1 N_f1)(X^m2 Y^n2 N_f2).
 
     Push N_f1 right through X^m2 Y^n2 (translating by -2*m2 + 2*n2), reorder
-    the inner Y^n1 X^m2 with the cached rewrite, then push any Cartan factors
+    the inner Y^n1 X^m2 with the cached closed form, then push any Cartan factors
     of the reordering right through Y^n2.
     """
     carried = f1.shift(SHIFT_STEP * (n2 - m2)) * f2

@@ -4,7 +4,7 @@ Subcommands: relations, eval, chi, kms-check, recover, rep.  Exit codes are a
 scriptable contract: 0 success, 1 failed check / not extendable, 2 invalid
 flags or files, 3 expression parse error.  All output is deterministic given
 flags and seed (env SWN_KMS_SEED supplies kms-check's default seed).  Only
-``recover`` imports ``swnkms.recovery``, and with it scipy.
+``recover`` imports ``swnkms.recovery``, and only ``recover --chi`` loads scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_PARSE = 3
 
 
 def __getattr__(name):
-    """Recovery names resolve on first use, so scipy loads only for ``recover``."""
+    """Recovery names resolve on first use, so only ``recover`` imports the module."""
     if name in ("IllPosed", "NotExtendable", "chi_fit", "ladder_peel"):
         from . import recovery
 
@@ -260,7 +260,7 @@ def cmd_recover(args) -> int:
         raise CliError("provide exactly one of --cartan or --chi")
     if not 0 < args.beta < math.inf:
         raise CliError("beta must be positive and finite")
-    from .recovery import IllPosed, NotExtendable, chi_fit, ladder_peel  # loads scipy
+    from .recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
 
     try:
         if args.cartan:

@@ -28,10 +28,36 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, pinv, svd
-from scipy.optimize import least_squares, lsq_linear
 
 from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure, merge_positions
+
+# The scipy routines of ``chi_fit``, imported on first call: loading scipy
+# costs more than the rest of the package, and ``ladder_peel`` needs none of it.
+
+
+def hankel(*args, **kwargs):
+    from scipy.linalg import hankel
+    return hankel(*args, **kwargs)
+
+
+def pinv(*args, **kwargs):
+    from scipy.linalg import pinv
+    return pinv(*args, **kwargs)
+
+
+def svd(*args, **kwargs):
+    from scipy.linalg import svd
+    return svd(*args, **kwargs)
+
+
+def lsq_linear(*args, **kwargs):
+    from scipy.optimize import lsq_linear
+    return lsq_linear(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 class NotExtendable(ValueError):

@@ -38,13 +38,18 @@ MASS_TOL = 1e-12
 # different base atoms (spacing-2 overlaps).
 POSITION_ATOL = 1e-9
 
-# Cached rung-weight arrays, one per (lambda, beta, depth, m).  One state of
-# up to 3 atoms needs at most 3 atoms x 2 depths x 9 values of m = 54; 128
-# holds the 98 of the six states a verify benchmark run cycles through.  An
-# entry holds depth + 1 floats: 0.5-2 KiB at the usual 64-256 rungs, 8 MiB at
-# the 2^20-rung cap (beta below ~1e-4), so 1 GiB if every entry sat at the
-# cap, plus 256 MiB for the 16 cached ``_ladder`` pairs.
+# Cached rung-weight arrays, one per (atoms, beta, depths, m): a state's atoms,
+# the ladder depth of each, and the power m of X^m Y^m.  The six states a
+# verify benchmark run cycles through need 50 keys, of at most 3 KB each (3
+# atoms, 65-129 rungs each).  An entry holds 8 MiB per atom at the 2^20-rung
+# cap (beta below ~1e-4), so 128 entries of k atoms at the cap would hold
+# k GiB, plus 256 MiB for the 16 cached ``_ladder`` pairs.
 RUNG_CACHE = 128
+
+# Rungs per block of the ``eval_trace`` contraction.  Every verify benchmark
+# state fits in one block; a longer grid is summed block by block, so beyond
+# the grid itself no temporary grows with the ladder depth.
+TRACE_BLOCK = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -84,7 +89,8 @@ class SpectralMeasure:
             raise ValueError(f"m1 must lie in [0, 1], got {m1}")
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass must be 1, got {total}")
-        object.__setattr__(self, "m1", m1)
+        # m1 may sit up to MASS_TOL below 0; stored as +0.0, it is a valid m0
+        object.__setattr__(self, "m1", m1 if m1 > 0 else 0.0)
         object.__setattr__(self, "atoms", tuple((l, w) for l, w in merged))
 
     @property
@@ -244,32 +250,23 @@ def _ladder(beta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=RUNG_CACHE)
-def _rung_weights(lam: float, beta: float, depth: int, m: int) -> np.ndarray:
-    """diag_m(p) (1-q) q^p / Z on the rungs p = 0..depth: the trace weights of X^m Y^m."""
-    weights = ladder_diagonal(lam, depth + 1, m) * _ladder(beta, depth)[1]
+def _rung_weights(
+    atoms: tuple[tuple[float, float], ...], beta: float, depths: tuple[int, ...], m: int
+) -> np.ndarray:
+    """w_k diag_m(p) (1-q) q^p / Z on each atom's rungs p = 0..depth_k, concatenated.
+
+    These are the trace weights of X^m Y^m on the grid of ``eval_trace``.
+    """
+    weights = np.concatenate([
+        w * ladder_diagonal(lam, depth + 1, m) * _ladder(beta, depth)[1]
+        for (lam, w), depth in zip(atoms, depths)
+    ])
     weights.flags.writeable = False
     return weights
 
 
 def _growth_exponent(a: AlgebraElement) -> int:
     return max((m + n + max(f.degree, 0) for (m, n), f in a.terms), default=0)
-
-
-def _gibbs_trace(lam: float, beta: float, a: AlgebraElement, tol: float) -> complex:
-    """Trace of a against the Gibbs ladder at lam, over ``ladder_depth`` + 1 rungs.
-
-    The rung weights of each X^m Y^m come from one shared table per
-    (lam, beta, depth, m) (``_rung_weights``), so the elements evaluated
-    against one state reuse them; only F is evaluated per call.
-    """
-    depth = ladder_depth(beta, tol, lam, _growth_exponent(a))
-    eigens = lam + 2.0 * _ladder(beta, depth)[0]
-    total = 0j
-    for (m, n), f in a.terms:
-        if m != n:
-            continue  # single-band matrix: off-weight monomials are traceless
-        total += np.sum(_rung_weights(lam, beta, depth, m) * f.evaluate_array(eigens))
-    return complex(total)
 
 
 def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> complex:
@@ -279,9 +276,14 @@ def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> compl
     lambda and the element's growth exponent, so the truncation error is at
     most tol times the sum of the coefficients' absolute values over the
     element's Cartan functions F (|diag_m(p)| <= (lam + 2p)^{2m} and
-    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.  The rung
-    weights diag_m(p) (1-q) q^p / Z are shared between calls through a
-    bounded cache of ``RUNG_CACHE`` read-only arrays.
+    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.
+
+    The rungs lam_k + 2p of all atoms form one grid.  Every weight-zero term
+    c x^n e^{itx} of X^m Y^m N_F is then one entry of a single contraction:
+    rows R[(m, n)] = (rung weights of X^m Y^m) x^n, columns E[t] = e^{itx},
+    value sum c (R E^T)[(m, n), t], taken over blocks of ``TRACE_BLOCK`` rungs.
+    The rung weights w_k diag_m(p) (1-q) q^p / Z are shared between calls
+    through a bounded cache of ``RUNG_CACHE`` read-only arrays.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -289,9 +291,30 @@ def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> compl
     total = 0j
     if measure.m1:
         total += measure.m1 * a.cartan_part(0, 0)(0.0)
-    for lam, w in measure.atoms:
-        total += w * _gibbs_trace(lam, state.beta, a, tol)
-    return total
+    beta, atoms = state.beta, measure.atoms
+    growth = _growth_exponent(a)
+    depths = tuple(ladder_depth(beta, tol, lam, growth) for lam, _ in atoms)
+    rows: dict[tuple[int, int], int] = {}
+    cols: dict[float, int] = {}
+    entries = []
+    for (m, k), f in a.terms:
+        if m != k:
+            continue  # single-band matrix: off-weight monomials are traceless
+        for n, t, c in f.terms:
+            entries.append((rows.setdefault((m, n), len(rows)), cols.setdefault(t, len(cols)), c))
+    if not (atoms and entries):
+        return total
+    grid = np.concatenate([lam + 2.0 * _ladder(beta, d)[0] for (lam, _), d in zip(atoms, depths)])
+    weights = {m: _rung_weights(atoms, beta, depths, m) for m, _ in rows}
+    freqs = np.array(list(cols))
+    contracted = 0
+    for start in range(0, grid.size, TRACE_BLOCK):
+        stop = start + TRACE_BLOCK
+        x = grid[start:stop]
+        r = np.array([weights[m][start:stop] * x**n for m, n in rows])
+        contracted = contracted + r @ np.exp(1j * np.multiply.outer(x, freqs))
+    contracted = contracted.tolist()
+    return total + sum(c * contracted[i][j] for i, j, c in entries)
 
 
 # -- characteristic functional ----------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from swnkms import verify
 from swnkms.algebra import (
     AlgebraElement,
+    _reorder_yx,
     H,
     N,
     X,
@@ -23,6 +24,7 @@ from swnkms.algebra import (
     word_of,
 )
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
+from swnkms.reps import build_rep, represent
 
 NX = N(X_VAR)
 F_TEST = FunctionExpr([(1, 0.0, 1.0), (0, 0.7, 2.0)])
@@ -191,6 +193,24 @@ class TestRewriteEngine:
         rng = np.random.default_rng(8)
         a, b, c = (random_element(rng) for _ in range(3))
         assert (a * (b + c)).isclose(a * b + a * c, 1e-12)
+
+
+class TestReorderClosedForm:
+    """``_reorder_yx`` gives the canonical form of Y^n X^m without rewriting."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_equals_rewrite_engine(self, n):
+        for m in range(6):
+            word = (("Y",),) * n + (("X",),) * m
+            assert _reorder_yx(n, m) == reduce_word(word), (n, m)
+
+    def test_high_degree_matches_module(self):
+        rep = build_rep(1.3, 24)
+        lhs = represent(_reorder_yx(8, 8), rep)
+        rhs = np.linalg.matrix_power(rep.maty, 8) @ np.linalg.matrix_power(rep.matx, 8)
+        safe = rep.dim - 8  # X^8 e_p leaves the module for p >= dim - 8
+        diff = np.max(np.abs(lhs[:safe, :safe] - rhs[:safe, :safe]))
+        assert diff <= 1e-12 * np.max(np.abs(rhs[:safe, :safe]))
 
 
 grading_keys = st.tuples(st.integers(0, 3), st.integers(0, 3))

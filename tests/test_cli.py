@@ -136,7 +136,7 @@ def test_malformed_json_exits_2(tmp_path, command, flag, text):
 
 
 class TestLazyRecoveryImport:
-    """Only ``recover`` loads swnkms.recovery, and with it scipy."""
+    """Only ``recover`` loads swnkms.recovery, and only ``recover --chi`` loads scipy."""
 
     def run_python(self, code):
         return subprocess.run(
@@ -152,6 +152,27 @@ class TestLazyRecoveryImport:
         code = (
             "import sys; from swnkms.cli import main; "
             f"code = main(['eval', '--state', {gibbs_file!r}, '--expr', 'X Y', '--method', 'both']); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        result = self.run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_import_recovery_skips_scipy(self):
+        result = self.run_python("import sys, swnkms.recovery; print('scipy' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_recover_cartan_skips_scipy(self, tmp_path):
+        restriction = cartan_restriction(StateSpec.gibbs(1.5, 1.0))
+        cartan_path = tmp_path / "cartan.json"
+        cartan_path.write_text(json.dumps({
+            "m0": restriction.m0,
+            "atoms": [{"x": x, "mass": m} for x, m in restriction.atoms],
+        }))
+        code = (
+            "import sys; from swnkms.cli import main; "
+            f"code = main(['recover', '--cartan', {str(cartan_path)!r}, '--beta', '1.0']); "
             "print(code, 'scipy' in sys.modules)"
         )
         result = self.run_python(code)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given
 
 from swnkms import states
-from swnkms.algebra import AlgebraElement, N, X, Y, apply_automorphism
+from swnkms.algebra import AlgebraElement, N, X, Y, apply_automorphism, weight_zero_product
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
+from swnkms.reps import ladder_diagonal
 from swnkms.states import (
     CartanMeasure,
     SpectralMeasure,
@@ -24,6 +26,7 @@ from swnkms.states import (
     state_from_dict,
     state_to_dict,
 )
+from swnkms.verify import random_element
 
 LN2 = math.log(2.0)
 
@@ -150,7 +153,7 @@ class TestEvalTracePinned:
         states._ladder.cache_clear()
         assert eval_trace(state, a) == warm == cold
         depth = states.ladder_depth(0.8, 1e-13, 1.3, 5)
-        for array in (states._rung_weights(1.3, 0.8, depth, 2), *states._ladder(0.8, depth)):
+        for array in (states._rung_weights(((1.3, 0.5),), 0.8, (depth,), 2), *states._ladder(0.8, depth)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -161,6 +164,87 @@ class TestEvalTracePinned:
         for t in (0.3, 1.7):
             moved = apply_automorphism(a, t)
             assert abs(eval_trace(state, moved) - eval_trace(state, a)) <= 1e-10
+
+
+def per_rung_trace(state, a, tol=1e-13):
+    """eval_trace's truncated ladder sum, one atom, rung and monomial at a time.
+
+    Returns the value and the sum of the absolute values of its terms
+    w_k (1-q) q^p / Z diag_m(p) c x^n e^{itx}.
+    """
+    measure = state.as_measure()
+    f0 = a.cartan_part(0, 0)
+    value = measure.m1 * f0(0.0)
+    scale = measure.m1 * sum(abs(c) for n, _, c in f0.terms if n == 0)
+    growth = states._growth_exponent(a)
+    for lam, w in measure.atoms:
+        depth = states.ladder_depth(state.beta, tol, lam, growth)
+        masses = states._ladder(state.beta, depth)[1]
+        for (m, n), f in a.terms:
+            if m != n:
+                continue
+            diag = ladder_diagonal(lam, depth + 1, m)
+            for p in range(depth + 1):
+                x = lam + 2.0 * p
+                weight = w * masses[p] * diag[p]
+                value += weight * f(x)
+                scale += abs(weight) * sum(abs(c) * x**k for k, _, c in f.terms)
+    return value, scale
+
+
+def random_mixture(rng, beta):
+    k = int(rng.integers(1, 4))
+    masses = rng.dirichlet(np.ones(k + 1))
+    m1 = float(masses[0]) if rng.random() < 0.5 else 0.0
+    weights = masses[1:] * (1.0 - m1) / masses[1:].sum()
+    atoms = tuple(zip(rng.uniform(0.2, 6.0, k).tolist(), weights.tolist()))
+    return StateSpec.mixture(SpectralMeasure(m1, atoms), beta)
+
+
+class TestEvalTraceContraction:
+    """The one-grid contraction of eval_trace against a per-rung sum."""
+
+    def test_matches_per_rung_sum(self):
+        checked = 0
+        for index in range(60):
+            rng = np.random.default_rng([2024, index])
+            state = random_mixture(rng, float(rng.uniform(0.3, 2.5)))
+            a = weight_zero_product(random_element(rng, 3), random_element(rng, 3))
+            if a.is_zero:
+                continue
+            expected, scale = per_rung_trace(state, a)
+            assert abs(eval_trace(state, a) - expected) <= 1e-14 * scale, index
+            checked += 1
+        assert checked >= 25
+
+    def test_grid_longer_than_a_block(self):
+        state = StateSpec.mixture(SpectralMeasure(0.1, ((0.7, 0.5), (2.3, 0.4))), 0.01)
+        a = X * X * Y * Y * N(FunctionExpr([(0, 0.0, 1.0), (1, 0.3, 0.5j)])) + N(X_VAR) - 2.0 * X * Y
+        assert states.ladder_depth(0.01, 1e-13, 2.3, states._growth_exponent(a)) > states.TRACE_BLOCK
+        expected, scale = per_rung_trace(state, a)
+        assert abs(eval_trace(state, a) - expected) <= 1e-14 * scale
+
+    def test_small_beta_peak_memory(self):
+        """3 atoms at beta 1e-3 put 131073 rungs under each; the blocks bound the temporaries.
+
+        Evaluating each F over each atom's whole ladder at once peaked at
+        26.0 MiB on this input (the cached rung weights included).
+        """
+        f = FunctionExpr([(n, t, complex(1 + n, t)) for n in range(3) for t in (0.0, 0.5, -1.3)])
+        a = AlgebraElement([((m, m), f) for m in range(3)])
+        state = StateSpec.mixture(SpectralMeasure(0.1, ((0.7, 0.3), (1.9, 0.4), (3.2, 0.2))), 1e-3)
+        states._rung_weights.cache_clear()
+        states._ladder.cache_clear()
+        tracemalloc.start()
+        try:
+            value = eval_trace(state, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states._rung_weights.cache_clear()
+        states._ladder.cache_clear()
+        assert math.isfinite(abs(value))
+        assert peak < 26.0 * 2**20
 
 
 class TestChiClosedForm:
@@ -270,6 +354,12 @@ class TestSpectralMeasureInvariants:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             SpectralMeasure(1.5, ((1.0, -0.5),))
+
+    def test_m1_within_tolerance_below_zero_is_stored_as_zero(self):
+        measure = SpectralMeasure(-1e-13, ((1.0, 1.0 + 1e-13),))
+        assert measure.m1 == 0.0 and math.copysign(1.0, measure.m1) == 1.0
+        restriction = cartan_restriction(StateSpec.mixture(measure, 1.0))
+        assert restriction.m0 == 0.0
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
