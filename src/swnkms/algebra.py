@@ -98,9 +98,6 @@ class AlgebraElement:
         """Sorted distinct grading weights m - n present."""
         return tuple(sorted({m - n for (m, n), _ in self.terms}))
 
-    def max_function_degree(self) -> int:
-        return max((f.degree for _, f in self.terms), default=-1)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -23,7 +23,6 @@ from .grammar import ParseError, parse_element, parse_function
 from .reps import build_rep, relation_residuals
 from .states import (
     CartanMeasure,
-    ConvergenceError,
     StateSpec,
     chi_closed_form,
     eval_kms_recursion,
@@ -150,7 +149,7 @@ def cmd_eval(args) -> int:
     element = _parse_expr_arg(args.expr)
     lines = []
     if args.method in ("trace", "both"):
-        value = eval_trace(state, element, args.tol)
+        value = eval_trace(state, element)
         lines.append(f"trace      = {_fmt_complex(value)}")
     if args.method in ("recursion", "both"):
         value_r = eval_kms_recursion(state.as_measure(), state.beta, element)
@@ -174,7 +173,7 @@ def cmd_chi(args) -> int:
         lines.append("t,re_chi,im_chi,re_trace,im_trace")
         max_gap = 0.0
         for t, c in zip(ts, chi):
-            traced = eval_trace(state, N(FunctionExpr.exponential(t)), args.tol)
+            traced = eval_trace(state, N(FunctionExpr.exponential(t)))
             max_gap = max(max_gap, abs(traced - c))
             lines.append(
                 f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},"
@@ -325,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--method", choices=["trace", "recursion", "both"], default="trace")
-    p.add_argument("--tol", type=float, default=1e-13,
-                   help="truncation error bound of the trace per unit coefficient sum "
-                        "(the recursion is exact)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
@@ -337,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-13,
-                   help="truncation error bound of the --cross-check trace")
     p.add_argument("--out")
     p.set_defaults(func=cmd_chi)
 
@@ -389,7 +383,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n{exc.caret_diagnostic()}\n")
         return EXIT_PARSE
-    except (ValueError, ConvergenceError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

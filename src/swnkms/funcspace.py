@@ -68,17 +68,9 @@ class FunctionExpr:
         return not self.terms
 
     @property
-    def is_one(self) -> bool:
-        return self.terms == ((0, 0.0, 1 + 0j),)
-
-    @property
     def degree(self) -> int:
         """Largest power of x present (-1 for the zero function)."""
         return self.terms[-1][0] if self.terms else -1  # terms are sorted by power
-
-    @property
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(sorted({t for _, t, _ in self.terms}))
 
     def coeff_l1(self) -> float:
         return sum(abs(c) for _, _, c in self.terms)

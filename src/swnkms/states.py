@@ -5,8 +5,9 @@ mass m1 at the bottom (vacuum component) plus a probability measure on the
 positive half-line (Gibbs components); ``SpectralMeasure`` is the finite-atom
 realization.  Two independent evaluators are provided:
 
-* ``eval_trace`` -- truncated trace against the diagonal density
-  e^{-beta H/2}/Z in the lowest-weight module (the matrix route);
+* ``eval_trace`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
+  diagonal of X^m Y^m in the lowest-weight module (the module route), summed
+  over the whole ladder in closed form (no truncation);
 * ``eval_kms_recursion`` -- the iterated KMS identity
   rho(X A N_F) = rho([A, X] N_G), G = sum_{j>=1} e^{-beta j} T_{-2j}F,
   run down to Gibbs-ladder Cartan moments (no matrices).  G has a closed
@@ -30,7 +31,7 @@ import numpy as np
 from . import algebra
 from .algebra import AlgebraElement
 from .funcspace import FunctionExpr
-from .reps import ladder_diagonal
+from .reps import ladder_diagonal  # noqa: F401  bench/selftest.py wraps it in this namespace
 
 MASS_TOL = 1e-12
 
@@ -38,18 +39,10 @@ MASS_TOL = 1e-12
 # different base atoms (spacing-2 overlaps).
 POSITION_ATOL = 1e-9
 
-# Cached rung-weight arrays, one per (atoms, beta, depths, m): a state's atoms,
-# the ladder depth of each, and the power m of X^m Y^m.  The six states a
-# verify benchmark run cycles through need 50 keys, of at most 3 KB each (3
-# atoms, 65-129 rungs each).  An entry holds 8 MiB per atom at the 2^20-rung
-# cap (beta below ~1e-4), so 128 entries of k atoms at the cap would hold
-# k GiB, plus 256 MiB for the 16 cached ``_ladder`` pairs.
-RUNG_CACHE = 128
-
-# Rungs per block of the ``eval_trace`` contraction.  Every verify benchmark
-# state fits in one block; a longer grid is summed block by block, so beyond
-# the grid itself no temporary grows with the ladder depth.
-TRACE_BLOCK = 4096
+# Cached ladder tables, one per (atom locations, m, n); an entry holds
+# len(atoms) (2m + n + 1) floats at any beta.  A verify benchmark run (seed 1,
+# 4 rounds) needs 214 keys, all with 2m + n <= 12.
+LADDER_CACHE = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -92,10 +85,6 @@ class SpectralMeasure:
         # m1 may sit up to MASS_TOL below 0; stored as +0.0, it is a valid m0
         object.__setattr__(self, "m1", m1 if m1 > 0 else 0.0)
         object.__setattr__(self, "atoms", tuple((l, w) for l, w in merged))
-
-    @property
-    def max_lambda(self) -> float:
-        return max((lam for lam, _ in self.atoms), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -214,19 +203,16 @@ def save_state(state: StateSpec, path) -> None:
 # -- Gibbs ladder and trace evaluator ------------------------------------------------
 
 
-def ladder_depth(beta: float, tol: float = 1e-13, lam_max: float = 0.0, growth: int = 0) -> int:
+def ladder_depth(beta: float, tol: float = 1e-13) -> int:
     """Last rung P kept of the Gibbs ladder (1-q) q^p at lam + 2p, q = e^{-beta}.
 
-    P is the first of 64, 128, 256, ... with 4 (lam_max + 2P)^growth q^P <= tol (1-q),
-    which puts P past the peak of (lam + 2p)^growth q^p.  A function bounded
-    by max(1, x)^growth, summed over the rungs p = 0..P with the masses
-    renormalized to 1 (``_ladder``), then misses its full ladder sum by at
-    most tol: the renormalization shifts it by under tol/4, and the dropped
-    tail decays geometrically from a term under tol (1-q)/4.
+    P is the first of 64, 128, 256, ... with 4 q^P <= tol (1-q): the dropped
+    tail then holds under tol/4 of the mass, and renormalizing the rungs
+    p = 0..P to mass 1 (``_ladder``) moves them by under tol/4 in total.
     """
     q = math.exp(-beta)
     depth = 64
-    while 4.0 * (lam_max + 2.0 * depth) ** max(growth, 0) * q**depth > tol * (1.0 - q):
+    while 4.0 * q**depth > tol * (1.0 - q):
         depth *= 2
         if depth > (1 << 20):
             raise ConvergenceError(
@@ -235,65 +221,66 @@ def ladder_depth(beta: float, tol: float = 1e-13, lam_max: float = 0.0, growth: 
     return depth
 
 
-@lru_cache(maxsize=16)
 def _ladder(beta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1.
-
-    Cached; the arrays are read-only.
-    """
+    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1."""
     q = math.exp(-beta)
     ps = np.arange(depth + 1, dtype=float)
     masses = (1.0 - q) * q**ps
-    masses /= masses.sum()
-    ps.flags.writeable = masses.flags.writeable = False
-    return ps, masses
+    return ps, masses / masses.sum()
 
 
-@lru_cache(maxsize=RUNG_CACHE)
-def _rung_weights(
-    atoms: tuple[tuple[float, float], ...], beta: float, depths: tuple[int, ...], m: int
-) -> np.ndarray:
-    """w_k diag_m(p) (1-q) q^p / Z on each atom's rungs p = 0..depth_k, concatenated.
+def _times_root(b: np.ndarray, r) -> np.ndarray:
+    """Rows of (j + r) sum_k b_k C(j, k) in the same basis C(j, k); r is a scalar or a column."""
+    k = np.arange(b.shape[1] + 1)
+    return (k + r) * np.pad(b, ((0, 0), (0, 1))) + k * np.pad(b, ((0, 0), (1, 0)))
 
-    These are the trace weights of X^m Y^m on the grid of ``eval_trace``.
+
+@lru_cache(maxsize=LADDER_CACHE)
+def _ladder_poly(lams: tuple[float, ...], m: int, n: int) -> np.ndarray:
+    """b[atom, k]: (-1)^m diag_m(m+j) (lam + 2m + 2j)^n = sum_k b_k C(j, k) for j >= 0.
+
+    diag_m is the diagonal of X^m Y^m (``reps.ladder_diagonal``), zero below
+    rung m.  The polynomial is 2^n prod_{i=1..m} (j+i) prod_{i<m} (j+lam+i)
+    (j + lam/2 + m)^n; each factor (j + r) has r > 0 and keeps every b_k
+    positive.  Built from (m, n-1), or from (m-1, 0) when n = 0; read-only.
     """
-    weights = np.concatenate([
-        w * ladder_diagonal(lam, depth + 1, m) * _ladder(beta, depth)[1]
-        for (lam, w), depth in zip(atoms, depths)
-    ])
-    weights.flags.writeable = False
-    return weights
+    lam = np.array(lams)[:, None]
+    if n:
+        table = 2.0 * _times_root(_ladder_poly(lams, m, n - 1), lam / 2.0 + m)
+    elif m:
+        table = _times_root(_times_root(_ladder_poly(lams, m - 1, 0), m), lam + m - 1)
+    else:
+        table = np.ones((len(lams), 1))
+    table.flags.writeable = False
+    return table
 
 
-def _growth_exponent(a: AlgebraElement) -> int:
-    return max((m + n + max(f.degree, 0) for (m, n), f in a.terms), default=0)
+def eval_trace(state: StateSpec, a: AlgebraElement) -> complex:
+    """State value by the trace over each whole Gibbs ladder, summed in closed form.
 
+    The vacuum part is m1 F(0) on the Cartan part.  An atom (lam, w) gives
+    X^m Y^m N_F the value w (1-q) sum_p q^p diag_m(p) F(lam + 2p), q = e^{-beta}.
+    For a term c x^n e^{itx} of F, with p = m + j and z = q e^{2it}, the sum is
+    c e^{it lam} (-z)^m sum_j P(j) z^j for the polynomial P = sum_k b_k C(j, k)
+    of ``_ladder_poly``, and sum_j C(j, k) z^j = z^k / (1-z)^{k+1}; so it is
+    c e^{it lam} (-z)^m sum_k b_k u^k / (1-z) with u = z / (1-z).  The b_k are
+    positive and |u| <= q / (1-q), so the rounding error is a small multiple of
+    eps times the sum of the ladder terms' absolute values (under 5e-15 of it
+    against a 50-digit ladder sum through degree 8 at beta 0.05-2).
 
-def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> complex:
-    """State value by truncated trace (vacuum term is F(0) on the Cartan part).
+    For F = e^{itx} this is ``chi_closed_form``'s geometric sum.
 
-    Each Gibbs component is summed over the ``ladder_depth`` rungs for its
-    lambda and the element's growth exponent, so the truncation error is at
-    most tol times the sum of the coefficients' absolute values over the
-    element's Cartan functions F (|diag_m(p)| <= (lam + 2p)^{2m} and
-    |F(x)| <= ||F||_1 max(1, x)^{deg F}); rounding comes on top.
-
-    The rungs lam_k + 2p of all atoms form one grid.  Every weight-zero term
-    c x^n e^{itx} of X^m Y^m N_F is then one entry of a single contraction:
-    rows R[(m, n)] = (rung weights of X^m Y^m) x^n, columns E[t] = e^{itx},
-    value sum c (R E^T)[(m, n), t], taken over blocks of ``TRACE_BLOCK`` rungs.
-    The rung weights w_k diag_m(p) (1-q) q^p / Z are shared between calls
-    through a bounded cache of ``RUNG_CACHE`` read-only arrays.
+    Every weight-zero term of the element is one entry (m, n) x t of a single
+    contraction of the tables b against u^k / (1-z) and the atoms' phases.
+    Raises ValueError when e^{-beta} rounds to 1 (beta below ~1e-16).
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    q = math.exp(-state.beta)
+    if q == 1.0:
+        raise ValueError(f"beta must be positive and above ~1e-16, got {state.beta}")
     measure = state.as_measure()
     total = 0j
     if measure.m1:
         total += measure.m1 * a.cartan_part(0, 0)(0.0)
-    beta, atoms = state.beta, measure.atoms
-    growth = _growth_exponent(a)
-    depths = tuple(ladder_depth(beta, tol, lam, growth) for lam, _ in atoms)
     rows: dict[tuple[int, int], int] = {}
     cols: dict[float, int] = {}
     entries = []
@@ -302,18 +289,19 @@ def eval_trace(state: StateSpec, a: AlgebraElement, tol: float = 1e-13) -> compl
             continue  # single-band matrix: off-weight monomials are traceless
         for n, t, c in f.terms:
             entries.append((rows.setdefault((m, n), len(rows)), cols.setdefault(t, len(cols)), c))
-    if not (atoms and entries):
+    if not (measure.atoms and entries):
         return total
-    grid = np.concatenate([lam + 2.0 * _ladder(beta, d)[0] for (lam, _), d in zip(atoms, depths)])
-    weights = {m: _rung_weights(atoms, beta, depths, m) for m, _ in rows}
+    lams, weights = zip(*measure.atoms)
+    tables = [_ladder_poly(lams, m, n) for m, n in rows]
+    b = np.zeros((len(rows), len(lams), max(table.shape[1] for table in tables)))
+    for i, table in enumerate(tables):
+        b[i, :, : table.shape[1]] = table
     freqs = np.array(list(cols))
-    contracted = 0
-    for start in range(0, grid.size, TRACE_BLOCK):
-        stop = start + TRACE_BLOCK
-        x = grid[start:stop]
-        r = np.array([weights[m][start:stop] * x**n for m, n in rows])
-        contracted = contracted + r @ np.exp(1j * np.multiply.outer(x, freqs))
-    contracted = contracted.tolist()
+    z = q * np.exp(2j * freqs)
+    powers = (z / (1.0 - z)) ** np.arange(b.shape[2])[:, None] / (1.0 - z)
+    phases = (1.0 - q) * np.array(weights)[:, None] * np.exp(1j * np.multiply.outer(lams, freqs))
+    ms = np.array([m for m, _ in rows])
+    contracted = (np.einsum("rak,kt,at->rt", b, powers, phases) * (-z) ** ms[:, None]).tolist()
     return total + sum(c * contracted[i][j] for i, j, c in entries)
 
 
@@ -349,7 +337,7 @@ def cartan_restriction(state: StateSpec) -> CartanMeasure:
     than POSITION_ATOL are merged (``merge_positions``).
     """
     measure = state.as_measure()
-    ps, rung_masses = _ladder(state.beta, ladder_depth(state.beta, lam_max=measure.max_lambda))
+    ps, rung_masses = _ladder(state.beta, ladder_depth(state.beta))
     collected: list[tuple[float, float]] = []
     for lam, w in measure.atoms:
         positions = lam + 2.0 * ps

@@ -92,10 +92,10 @@ def kms_check(
 
     Pair ``index`` draws A then B from ``default_rng([seed, index])``; U_{i beta}
     is ``AlgebraElement.automorphism`` at z = i beta, and both sides are
-    ``eval_trace`` values, at its default tolerance, of the products'
-    weight-zero parts (``weight_zero_product``).  ``dynamics_scale`` multiplies
-    beta inside U_{i beta} only (the negative control: scale 2 turns e^{-beta}
-    into e^{-2 beta} and must blow the check).
+    ``eval_trace`` values of the products' weight-zero parts
+    (``weight_zero_product``).  ``dynamics_scale`` multiplies beta inside
+    U_{i beta} only (the negative control: scale 2 turns e^{-beta} into
+    e^{-2 beta} and must blow the check).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -105,11 +105,23 @@ class TestEval:
         assert result.returncode == 2
         assert "nan" not in result.stdout
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
-    def test_bad_tol_exits_2(self, gibbs_file, tol):
-        result = run_cli("eval", "--state", gibbs_file, "--expr", "X Y", f"--tol={tol}")
+    def test_both_methods_agree_at_small_beta(self, tmp_path):
+        path = tmp_path / "gibbs.json"
+        save_state(StateSpec.gibbs(1.5, 1e-6), path)
+        result = run_cli("eval", "--state", str(path), "--expr", "X^2 Y^2 N[x]", "--method", "both")
+        assert result.returncode == 0, result.stderr
+        trace, recursion = (complex(line.split("=")[1].replace(" ", "").replace("i", "j"))
+                            for line in result.stdout.splitlines()[:2])
+        assert abs(trace) > 1e30
+        assert abs(trace - recursion) <= 1e-12 * abs(recursion)
+
+    def test_beta_where_q_rounds_to_one_exits_2(self, tmp_path):
+        path = tmp_path / "gibbs.json"
+        save_state(StateSpec.gibbs(1.5, 1e-17), path)
+        result = run_cli("eval", "--state", str(path), "--expr", "X Y")
         assert result.returncode == 2
-        assert "tol must be positive and finite" in result.stderr
+        assert "beta must be positive and above ~1e-16" in result.stderr
+        assert result.stdout == ""
 
 
 @pytest.mark.parametrize(

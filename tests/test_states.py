@@ -120,9 +120,16 @@ class TestEvalTracePinned:
         ):
             assert eval_trace(state, AlgebraElement.one()) == pytest.approx(1.0)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            eval_trace(StateSpec.gibbs(1.0, 1.0), X * Y, tol=0.0)
+    @pytest.mark.parametrize("beta", [1e-3, 1e-6])
+    def test_finite_at_small_beta(self, beta):
+        state = StateSpec.mixture(SpectralMeasure(0.2, ((0.7, 0.5), (2.3, 0.3))), beta)
+        for a in (X * Y, X * X * Y * Y * N(X_VAR), N(FunctionExpr.exponential(0.4))):
+            value = eval_trace(state, a)
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+    def test_rejects_beta_where_q_rounds_to_one(self):
+        with pytest.raises(ValueError, match="above ~1e-16"):
+            eval_trace(StateSpec.gibbs(1.0, 1e-17), X * Y)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, LN2, 1.0])
@@ -143,20 +150,37 @@ class TestEvalTracePinned:
     def test_rung_tables_are_read_only_and_shared(self):
         state = StateSpec.mixture(SpectralMeasure(0.2, ((1.3, 0.5), (2.9, 0.3))), 0.8)
         a = X * X * Y * Y * N(FunctionExpr([(1, 0.0, 1.0), (0, 0.6, 2.0 - 1j)])) + X * Y + N(X_VAR)
-        states._rung_weights.cache_clear()
-        states._ladder.cache_clear()
+        states._ladder_poly.cache_clear()
         cold = eval_trace(state, a)
-        assert states._rung_weights.cache_info().currsize > 0
+        assert states._ladder_poly.cache_info().currsize > 0
         warm = eval_trace(state, a)
-        assert states._rung_weights.cache_info().hits > 0
-        states._rung_weights.cache_clear()
-        states._ladder.cache_clear()
+        assert states._ladder_poly.cache_info().hits > 0
+        states._ladder_poly.cache_clear()
         assert eval_trace(state, a) == warm == cold
-        depth = states.ladder_depth(0.8, 1e-13, 1.3, 5)
-        for array in (states._rung_weights(((1.3, 0.5),), 0.8, (depth,), 2), *states._ladder(0.8, depth)):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        # one table serves every beta: the key holds no beta and no weights
+        other = StateSpec.mixture(SpectralMeasure(0.0, ((1.3, 0.1), (2.9, 0.9))), 2.1)
+        misses = states._ladder_poly.cache_info().misses
+        eval_trace(other, a)
+        assert states._ladder_poly.cache_info().misses == misses
+        table = states._ladder_poly((1.3, 2.9), 2, 1)
+        assert table.shape == (2, 6)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 4.7])
+    @pytest.mark.parametrize("m", [0, 1, 2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_ladder_poly_matches_ladder_diagonal(self, lam, m, n):
+        """sum_k b_k C(j, k) = (-1)^m diag_m(p) (lam + 2p)^n on the rungs p = m..m+K."""
+        b = states._ladder_poly((lam,), m, n)[0]
+        assert b.shape == (2 * m + n + 1,)
+        assert np.all(b > 0)
+        count = b.size + 3
+        ps = np.arange(m, m + count)
+        expected = (-1.0) ** m * ladder_diagonal(lam, m + count, m)[m:] * (lam + 2.0 * ps) ** n
+        got = [sum(bk * math.comb(j, k) for k, bk in enumerate(b)) for j in range(count)]
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_covariance_under_dynamics(self):
         state = StateSpec.gibbs(1.5, 1.0)
@@ -166,25 +190,25 @@ class TestEvalTracePinned:
             assert abs(eval_trace(state, moved) - eval_trace(state, a)) <= 1e-10
 
 
-def per_rung_trace(state, a, tol=1e-13):
-    """eval_trace's truncated ladder sum, one atom, rung and monomial at a time.
+def per_rung_trace(state, a, depth=1000):
+    """The Gibbs ladder sum over the rungs p < depth, one atom, rung and monomial at a time.
 
     Returns the value and the sum of the absolute values of its terms
-    w_k (1-q) q^p / Z diag_m(p) c x^n e^{itx}.
+    w_k (1-q) q^p diag_m(p) c x^n e^{itx}.  At beta >= 0.3 and degree <= 6,
+    the rungs past 1000 hold far less than 1e-16 of that sum.
     """
     measure = state.as_measure()
+    q = math.exp(-state.beta)
+    masses = (1.0 - q) * q ** np.arange(depth, dtype=float)
     f0 = a.cartan_part(0, 0)
     value = measure.m1 * f0(0.0)
     scale = measure.m1 * sum(abs(c) for n, _, c in f0.terms if n == 0)
-    growth = states._growth_exponent(a)
     for lam, w in measure.atoms:
-        depth = states.ladder_depth(state.beta, tol, lam, growth)
-        masses = states._ladder(state.beta, depth)[1]
         for (m, n), f in a.terms:
             if m != n:
                 continue
-            diag = ladder_diagonal(lam, depth + 1, m)
-            for p in range(depth + 1):
+            diag = ladder_diagonal(lam, depth, m)
+            for p in range(depth):
                 x = lam + 2.0 * p
                 weight = w * masses[p] * diag[p]
                 value += weight * f(x)
@@ -202,7 +226,7 @@ def random_mixture(rng, beta):
 
 
 class TestEvalTraceContraction:
-    """The one-grid contraction of eval_trace against a per-rung sum."""
+    """The closed-form contraction of eval_trace against a per-rung sum."""
 
     def test_matches_per_rung_sum(self):
         checked = 0
@@ -217,34 +241,23 @@ class TestEvalTraceContraction:
             checked += 1
         assert checked >= 25
 
-    def test_grid_longer_than_a_block(self):
-        state = StateSpec.mixture(SpectralMeasure(0.1, ((0.7, 0.5), (2.3, 0.4))), 0.01)
-        a = X * X * Y * Y * N(FunctionExpr([(0, 0.0, 1.0), (1, 0.3, 0.5j)])) + N(X_VAR) - 2.0 * X * Y
-        assert states.ladder_depth(0.01, 1e-13, 2.3, states._growth_exponent(a)) > states.TRACE_BLOCK
-        expected, scale = per_rung_trace(state, a)
-        assert abs(eval_trace(state, a) - expected) <= 1e-14 * scale
-
     def test_small_beta_peak_memory(self):
-        """3 atoms at beta 1e-3 put 131073 rungs under each; the blocks bound the temporaries.
+        """At beta 1e-3 the ladder's rungs that matter number in the 10^5s; none is visited.
 
-        Evaluating each F over each atom's whole ladder at once peaked at
-        26.0 MiB on this input (the cached rung weights included).
+        Summing 131073 rungs under each atom peaked at 17 MiB on this input.
         """
         f = FunctionExpr([(n, t, complex(1 + n, t)) for n in range(3) for t in (0.0, 0.5, -1.3)])
         a = AlgebraElement([((m, m), f) for m in range(3)])
         state = StateSpec.mixture(SpectralMeasure(0.1, ((0.7, 0.3), (1.9, 0.4), (3.2, 0.2))), 1e-3)
-        states._rung_weights.cache_clear()
-        states._ladder.cache_clear()
+        states._ladder_poly.cache_clear()
         tracemalloc.start()
         try:
             value = eval_trace(state, a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        states._rung_weights.cache_clear()
-        states._ladder.cache_clear()
         assert math.isfinite(abs(value))
-        assert peak < 26.0 * 2**20
+        assert peak < 2**20
 
 
 class TestChiClosedForm:
@@ -389,11 +402,6 @@ class TestRejectsNonFinite:
         with pytest.raises(ValueError):
             state_from_dict({"beta": bad, "kind": "vacuum"})
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_trace_tol(self, bad):
-        with pytest.raises(ValueError):
-            eval_trace(StateSpec.gibbs(1.0, 1.0), X * Y, tol=bad)
-
 
 class TestKmsRecursion:
     def test_xy_pinned(self):
@@ -437,8 +445,13 @@ class TestKmsRecursion:
             rhs = eval_trace(state, a)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.5, 1.0, 2.0])
     def test_matches_50_digit_oracle(self, beta):
+        """Both evaluators against the 50-digit ladder sum, relative to its terms' absolute sum.
+
+        The trace is checked at every beta to 1e-14; the recursion at
+        beta >= 0.5 to 1e-12.
+        """
         terms = [(0, 0.0, 1.0), (1, 0.0, -0.4j), (2, 0.0, 0.7),
                  (0, 0.9, 0.5 + 0.2j), (1, -1.3, 0.3)]
         m1, atoms = 0.2, ((0.8, 0.5), (2.5, 0.3))
@@ -447,24 +460,12 @@ class TestKmsRecursion:
         values, scales = mp_ladder_sums(m1, atoms, beta, 8, terms)
         for d in range(9):
             a = AlgebraElement.monomial(d, d, FunctionExpr(terms))
-            for name, got in (("recursion", eval_kms_recursion(measure, beta, a)),
-                              ("trace", eval_trace(state, a))):
+            checks = [("trace", eval_trace(state, a), 1e-14)]
+            if beta >= 0.5:
+                checks.append(("recursion", eval_kms_recursion(measure, beta, a), 1e-12))
+            for name, got, bound in checks:
                 err = abs(mp.mpc(got) - values[d]) / scales[d]
-                assert err <= 1e-12, (name, d, float(err))
-
-    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
-    @pytest.mark.parametrize("beta", [0.3, 0.7, 2.0])
-    def test_trace_tol_bounds_its_error(self, tol, beta):
-        """|eval_trace - ladder sum| <= tol ||F||_1 + rounding, at every degree."""
-        terms = [(0, 0.0, 0.6), (2, 0.0, -0.3j), (1, 1.1, 0.4 + 0.3j)]
-        m1, atoms = 0.1, ((0.4, 0.5), (5.0, 0.4))
-        state = StateSpec.mixture(SpectralMeasure(m1, atoms), beta)
-        f = FunctionExpr(terms)
-        values, scales = mp_ladder_sums(m1, atoms, beta, 8, terms)
-        for d in range(9):
-            got = eval_trace(state, AlgebraElement.monomial(d, d, f), tol=tol)
-            err = abs(mp.mpc(got) - values[d])
-            assert err <= tol * f.coeff_l1() + 1e-14 * scales[d], (d, float(err))
+                assert err <= bound, (name, d, float(err))
 
     def test_rejects_bad_arguments(self):
         measure = SpectralMeasure(0.0, ((1.0, 1.0),))

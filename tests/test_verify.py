@@ -38,6 +38,16 @@ class TestKmsCheck:
         report = kms_check(state, max_degree=3, trials=40, seed=7)
         assert report.passed, report
 
+    def test_valid_state_passes_at_beta_half(self):
+        """A mixture whose degree-4 pairs failed the 1e-8 default (1.57e-7) under a truncated trace."""
+        measure = SpectralMeasure(0.4642014793583038, (
+            (0.5966811982737747, 0.040074504204309115),
+            (1.3404650466680554, 0.4638032154114315),
+            (2.7684799387678165, 0.03192080102595554),
+        ))
+        report = kms_check(StateSpec.mixture(measure, 0.5), max_degree=4, trials=20, seed=14017000018)
+        assert report.passed, report
+
     def test_trivial_pair_is_exact(self):
         # rho(1*1) = rho(1*U_{i beta}(1)) identically
         state = StateSpec.gibbs(1.0, 1.0)
