@@ -34,6 +34,7 @@ from .states import (
     chi_closed_form,
     eval_kms_recursion,
     eval_trace,
+    eval_traces,
     ladder_depth,
     load_state,
     save_state,
@@ -82,6 +83,7 @@ __all__ = [
     "commutator",
     "eval_kms_recursion",
     "eval_trace",
+    "eval_traces",
     "format_element",
     "format_function",
     "from_swn_basis",

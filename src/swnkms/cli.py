@@ -53,13 +53,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("SWN_KMS_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -188,16 +181,32 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _kms_seed(args) -> int:
+    """--seed, else SWN_KMS_SEED, else 0; anything but a non-negative integer exits 2."""
+    if args.seed is not None:
+        source, seed = "--seed", args.seed
+    else:
+        source, text = "SWN_KMS_SEED", os.environ.get("SWN_KMS_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise CliError(f"SWN_KMS_SEED must be a non-negative integer, got {text!r}") from None
+    if seed < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def cmd_kms_check(args) -> int:
     if args.trials < 1:
         raise CliError("trials must be at least 1")
+    seed = _kms_seed(args)
     state = _load_state_arg(args.state)
     scale = 2.0 if args.sabotage_dynamics else 1.0
     report = kms_check(
         state,
         max_degree=args.degree,
         trials=args.trials,
-        seed=args.seed,
+        seed=seed,
         tol=args.tol,
         dynamics_scale=scale,
     )
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="pair seed (default: env SWN_KMS_SEED, else 0)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--sabotage-dynamics", action="store_true",
                    help="test hook: mis-scale the analytic continuation (must fail)")

@@ -5,9 +5,10 @@ mass m1 at the bottom (vacuum component) plus a probability measure on the
 positive half-line (Gibbs components); ``SpectralMeasure`` is the finite-atom
 realization.  Two independent evaluators are provided:
 
-* ``eval_trace`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
+* ``eval_traces`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
   diagonal of X^m Y^m in the lowest-weight module (the module route), summed
-  over the whole ladder in closed form (no truncation);
+  over the whole ladder in closed form (no truncation), for a batch of
+  elements in one contraction (``eval_trace`` for one);
 * ``eval_kms_recursion`` -- the iterated KMS identity
   rho(X A N_F) = rho([A, X] N_G), G = sum_{j>=1} e^{-beta j} T_{-2j}F,
   run down to Gibbs-ladder Cartan moments (no matrices).  G has a closed
@@ -255,8 +256,8 @@ def _ladder_poly(lams: tuple[float, ...], m: int, n: int) -> np.ndarray:
     return table
 
 
-def eval_trace(state: StateSpec, a: AlgebraElement) -> complex:
-    """State value by the trace over each whole Gibbs ladder, summed in closed form.
+def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
+    """State values of ``elements`` by the trace over each whole Gibbs ladder, in closed form.
 
     The vacuum part is m1 F(0) on the Cartan part.  An atom (lam, w) gives
     X^m Y^m N_F the value w (1-q) sum_p q^p diag_m(p) F(lam + 2p), q = e^{-beta}.
@@ -270,39 +271,73 @@ def eval_trace(state: StateSpec, a: AlgebraElement) -> complex:
 
     For F = e^{itx} this is ``chi_closed_form``'s geometric sum.
 
-    Every weight-zero term of the element is one entry (m, n) x t of a single
-    contraction of the tables b against u^k / (1-z) and the atoms' phases.
-    Raises ValueError when e^{-beta} rounds to 1 (beta below ~1e-16).
+    The weight-zero terms of all the elements are the entries (m, n) x t of one
+    grid, shared rows and frequencies once, and a single contraction of the
+    tables b against u^k / (1-z) and the atoms' phases fills it.  Each
+    element's entries are summed in its term order, then m1 F(0) is added.
+    Raises ValueError when e^{-beta} rounds to 1 (beta below ~1e-16), and when
+    a value is not finite (an overflow at tiny beta and high degree), naming
+    the first term x^n of X^m Y^m N_F whose entry is not finite.
     """
     q = math.exp(-state.beta)
     if q == 1.0:
         raise ValueError(f"beta must be positive and above ~1e-16, got {state.beta}")
     measure = state.as_measure()
-    total = 0j
-    if measure.m1:
-        total += measure.m1 * a.cartan_part(0, 0)(0.0)
     rows: dict[tuple[int, int], int] = {}
     cols: dict[float, int] = {}
-    entries = []
-    for (m, k), f in a.terms:
-        if m != k:
-            continue  # single-band matrix: off-weight monomials are traceless
-        for n, t, c in f.terms:
-            entries.append((rows.setdefault((m, n), len(rows)), cols.setdefault(t, len(cols)), c))
-    if not (measure.atoms and entries):
-        return total
-    lams, weights = zip(*measure.atoms)
-    tables = [_ladder_poly(lams, m, n) for m, n in rows]
-    b = np.zeros((len(rows), len(lams), max(table.shape[1] for table in tables)))
-    for i, table in enumerate(tables):
-        b[i, :, : table.shape[1]] = table
-    freqs = np.array(list(cols))
-    z = q * np.exp(2j * freqs)
-    powers = (z / (1.0 - z)) ** np.arange(b.shape[2])[:, None] / (1.0 - z)
-    phases = (1.0 - q) * np.array(weights)[:, None] * np.exp(1j * np.multiply.outer(lams, freqs))
-    ms = np.array([m for m, _ in rows])
-    contracted = (np.einsum("rak,kt,at->rt", b, powers, phases) * (-z) ** ms[:, None]).tolist()
-    return total + sum(c * contracted[i][j] for i, j, c in entries)
+    owners, row_of, col_of, coeffs = [], [], [], []
+    at_zero = []  # F(0) of each element's Cartan part: the sum of its constant terms
+    for index, a in enumerate(elements):
+        constant = 0j
+        for (m, k), f in a.terms:
+            if m != k:
+                continue  # single-band matrix: off-weight monomials are traceless
+            for n, t, c in f.terms:
+                if m + n == 0:
+                    constant += c
+                owners.append(index)
+                row_of.append(rows.setdefault((m, n), len(rows)))
+                col_of.append(cols.setdefault(t, len(cols)))
+                coeffs.append(c)
+        at_zero.append(constant)
+    sums = np.zeros(len(elements), dtype=complex)
+    terms = np.zeros(len(owners), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if measure.atoms and owners:
+            lams, weights = zip(*measure.atoms)
+            tables = [_ladder_poly(lams, m, n) for m, n in rows]
+            b = np.zeros((len(rows), len(lams), max(table.shape[1] for table in tables)))
+            for i, table in enumerate(tables):
+                b[i, :, : table.shape[1]] = table
+            freqs = np.array(list(cols))
+            z = q * np.exp(2j * freqs)
+            powers = (z / (1.0 - z)) ** np.arange(b.shape[2])[:, None] / (1.0 - z)
+            phases = np.exp(1j * np.multiply.outer(lams, freqs))
+            phases = (1.0 - q) * np.array(weights)[:, None] * phases
+            # An overflowed u^k (tiny beta) spoils only the rows whose tables reach k:
+            # a shorter row's zero padding must not meet it as 0 x inf = nan.
+            overflow = ~np.isfinite(powers)
+            reach = np.arange(b.shape[2]) < np.array([table.shape[1] for table in tables])[:, None]
+            spoiled = reach.astype(float) @ overflow > 0
+            ms = np.array([m for m, _ in rows])
+            contracted = np.einsum("rak,kt,at->rt", b, np.where(overflow, 0.0, powers), phases)
+            contracted = np.where(spoiled, np.inf, contracted * (-z) ** ms[:, None])
+            terms = np.array(coeffs) * contracted[row_of, col_of]
+            np.add.at(sums, owners, terms)
+        values = measure.m1 * np.array(at_zero, dtype=complex) + sums
+    if not np.isfinite(values).all():
+        where = "in a sum of finite terms"
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.size:  # a non-finite term spoils its own element's value
+            m, n = list(rows)[row_of[bad[0]]]
+            where = f"at (m, n) = ({m}, {n}), the term x^{n} of X^{m} Y^{m} N_F"
+        raise ValueError(f"trace value is not finite at beta={state.beta} {where}")
+    return values
+
+
+def eval_trace(state: StateSpec, a: AlgebraElement) -> complex:
+    """``eval_traces`` of the one element ``a``."""
+    return complex(eval_traces(state, [a])[0])
 
 
 # -- characteristic functional ----------------------------------------------------
@@ -444,17 +479,20 @@ def eval_kms_recursion(measure: SpectralMeasure, beta: float, a: AlgebraElement)
             total += (1.0 - q) * sum(w * ladder(lam) for lam, w in measure.atoms)
         return total
 
-    def ev(elem: AlgebraElement) -> complex:
-        total = 0j
-        for (m, n), f in elem.terms:
-            if m != n:
-                continue  # covariance
-            if m == 0:
-                total += moment(f)
-                continue
-            series = kms_shift_sum(f, q)
-            bracket = _recursion_commutator(m, n)
-            total += ev(AlgebraElement([(key, p * series) for key, p in bracket.terms]))
-        return total
+    def ev(m: int, n: int, f: FunctionExpr) -> complex:
+        if m != n:
+            return 0j  # covariance
+        if m == 0:
+            return moment(f)
+        series = kms_shift_sum(f, q)
+        return sum(ev(*key, p * series) for key, p in _recursion_commutator(m, n).terms)
 
-    return ev(a)
+    total = 0j
+    for (m, n), f in a.terms:
+        value = ev(m, n, f)
+        if not cmath.isfinite(value):
+            raise ValueError(f"recursion value is not finite at beta={beta} on X^{m} Y^{n} N_F")
+        total += value
+    if not cmath.isfinite(total):
+        raise ValueError(f"recursion value is not finite at beta={beta}: its terms' sum overflows")
+    return total

@@ -2,10 +2,13 @@
 
 ``kms_check`` draws seeded random element pairs and measures the relative
 residual of rho(AB) = rho(B U_{i beta}(A)) through the trace evaluator, with
-U_{i beta} from ``AlgebraElement.automorphism``.  Pair k depends only on
-(seed, k, degree), so reports are replayable and bit-reproducible; a
-``dynamics_scale`` hook deliberately mis-scales the analytic continuation so
-the suite can prove the checker is able to fail.
+U_{i beta} from ``AlgebraElement.automorphism``.  Pair k is drawn from
+``default_rng([seed, k])`` alone, one fixed-size block of uniforms per
+element (``random_element``), so reports are replayable and bit-reproducible
+(the contract is restated at ``kms_check``); a ``dynamics_scale`` hook
+deliberately mis-scales the analytic continuation so the suite can prove the
+checker is able to fail.  Each check, KMS or Gram, evaluates all its traces
+in one ``eval_traces`` call.
 
 Both checks form only the weight-zero part of each product
 (``weight_zero_product``): a covariant state vanishes on every X^m Y^n N_F
@@ -26,7 +29,8 @@ import numpy as np
 from .algebra import AlgebraElement, weight_zero_product
 from .funcspace import FunctionExpr
 from .grammar import format_element
-from .states import CartanMeasure, StateSpec, eval_trace
+from .states import CartanMeasure, StateSpec, eval_traces
+from .states import eval_trace  # noqa: F401  bench/selftest.py wraps it in this namespace
 
 
 @dataclass(frozen=True)
@@ -54,28 +58,49 @@ class KmsReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def random_function(rng: np.random.Generator) -> FunctionExpr:
+# Uniforms per draw: a function is a term count then two slots of (power,
+# frequency coin, frequency, Re c, Im c); an element is a term count then
+# three slots of (key, function).  Unused slots are drawn all the same, so
+# the stream position never depends on the values drawn.
+FUNCTION_TERM = 5
+FUNCTION_DRAWS = 1 + 2 * FUNCTION_TERM
+ELEMENT_DRAWS = 1 + 3 * (1 + FUNCTION_DRAWS)
+
+
+def _function_from(u: list[float]) -> FunctionExpr:
+    """1-2 terms c x^n e^{itx}: n in 0..2, t uniform on (-1, 1) or else 0 (even odds),
+    c uniform on the square [-1, 1) + i [-1, 1).
+    """
     terms = []
-    for _ in range(rng.integers(1, 3)):
-        power = int(rng.integers(0, 3))
-        freq = float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.5 else 0.0
-        coeff = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        terms.append((power, freq, coeff))
+    for i in range(1 + int(2 * u[0])):
+        power, coin, freq, re, im = u[1 + FUNCTION_TERM * i : 1 + FUNCTION_TERM * (i + 1)]
+        freq = 2.0 * freq - 1.0 if coin < 0.5 else 0.0
+        terms.append((int(3 * power), freq, complex(2.0 * re - 1.0, 2.0 * im - 1.0)))
     f = FunctionExpr(terms)
     return f if not f.is_zero else FunctionExpr.constant(1.0)
 
 
+def random_function(rng: np.random.Generator) -> FunctionExpr:
+    """A random Cartan function from one block of FUNCTION_DRAWS uniforms."""
+    return _function_from(rng.random(FUNCTION_DRAWS).tolist())
+
+
 def random_element(rng: np.random.Generator, max_degree: int) -> AlgebraElement:
+    """1-3 monomials X^m Y^n N_F, (m, n) uniform over m + n <= max_degree, F as in
+    ``random_function``; one block of ELEMENT_DRAWS uniforms.  An integer uniform
+    on 0..k-1 is floor(k u): k u rounds below k for every u < 1.
+    """
     keys = [
         (m, n)
         for m in range(max_degree + 1)
         for n in range(max_degree + 1)
         if m + n <= max_degree
     ]
+    u = rng.random(ELEMENT_DRAWS).tolist()
     terms = []
-    for _ in range(rng.integers(1, 4)):
-        m, n = keys[rng.integers(0, len(keys))]
-        terms.append(((m, n), random_function(rng)))
+    for i in range(1 + int(3 * u[0])):
+        slot = u[1 + (1 + FUNCTION_DRAWS) * i : 1 + (1 + FUNCTION_DRAWS) * (i + 1)]
+        terms.append((keys[int(len(keys) * slot[0])], _function_from(slot[1:])))
     el = AlgebraElement(terms)
     return el if not el.is_zero else AlgebraElement.one()
 
@@ -90,12 +115,18 @@ def kms_check(
 ) -> KmsReport:
     """Residuals |rho(AB) - rho(B U_{i beta}(A))| / (1 + |rho(AB)|) over random pairs.
 
-    Pair ``index`` draws A then B from ``default_rng([seed, index])``; U_{i beta}
-    is ``AlgebraElement.automorphism`` at z = i beta, and both sides are
-    ``eval_trace`` values of the products' weight-zero parts
-    (``weight_zero_product``).  ``dynamics_scale`` multiplies beta inside
+    Pair ``index`` draws A then B (``random_element``, one block of uniforms
+    each) from ``default_rng([seed, index])``, so pair k depends only on
+    (seed, k, max_degree): a rerun gives the same report byte for byte, and
+    ``trials=10`` checks the first ten pairs of ``trials=20``.  (Versions that
+    drew each integer and float with its own call gave other pairs per seed.)
+    U_{i beta} is ``AlgebraElement.automorphism`` at z = i beta; both sides are
+    traces of the products' weight-zero parts (``weight_zero_product``), all
+    2 x ``trials`` of them in one ``eval_traces`` call.  The worst pair is the
+    first with the largest residual.  ``dynamics_scale`` multiplies beta inside
     U_{i beta} only (the negative control: scale 2 turns e^{-beta} into
-    e^{-2 beta} and must blow the check).
+    e^{-2 beta} and must blow the check).  Raises ValueError when a trace is
+    not finite.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -103,23 +134,25 @@ def kms_check(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     z = 1j * state.beta * dynamics_scale
-    worst = None
-    max_residual = 0.0
+    pairs, products = [], []
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         a = random_element(rng, max_degree)
         b = random_element(rng, max_degree)
-        lhs = eval_trace(state, weight_zero_product(a, b))
-        rhs = eval_trace(state, weight_zero_product(b, a.automorphism(z)))
-        residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-        if residual > max_residual:
-            max_residual = residual
-            worst = (a, b)
+        pairs.append((a, b))
+        products += [weight_zero_product(a, b), weight_zero_product(b, a.automorphism(z))]
+    values = eval_traces(state, products)
+    lhs, rhs = values[0::2], values[1::2]
+    residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+    worst = int(np.argmax(residuals))
+    max_residual = float(residuals[worst])
     return KmsReport(
         pairs_tested=trials,
         max_residual=max_residual,
-        worst_pair=("", "") if worst is None else tuple(map(format_element, worst)),
+        worst_pair=tuple(map(format_element, pairs[worst])) if max_residual > 0 else ("", ""),
         tolerance=tol,
         seed=seed,
     )
@@ -135,17 +168,18 @@ def gram_psd_check(
     words: list[AlgebraElement],
     tol: float = 1e-8,
 ) -> GramResult:
-    """Smallest eigenvalue of G_ij = rho(w_i* w_j); pass iff >= -tol (1 + ||G||)."""
+    """Smallest eigenvalue of G_ij = rho(w_i* w_j); pass iff >= -tol (1 + ||G||).
+
+    All k^2 entries are traces of weight-zero products in one ``eval_traces``
+    call; a trace that is not finite raises ValueError.
+    """
     if not words:
         raise ValueError("need at least one word")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    k = len(words)
-    gram = np.zeros((k, k), dtype=complex)
-    for i, wi in enumerate(words):
-        wi_star = wi.star()
-        for j, wj in enumerate(words):
-            gram[i, j] = eval_trace(state, weight_zero_product(wi_star, wj))
+    stars = [w.star() for w in words]
+    gram = eval_traces(state, [weight_zero_product(wi, wj) for wi in stars for wj in words])
+    gram = gram.reshape(len(words), len(words))
     scale = 1.0 + float(np.max(np.abs(gram)))
     herm_defect = float(np.max(np.abs(gram - gram.conj().T)))
     if herm_defect > 1e-10 * scale:

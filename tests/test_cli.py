@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -59,6 +60,29 @@ class TestRelations:
         result = run_cli("relations", "--lambda", "1", "--dim", "8", flag)
         assert result.returncode == 2
         assert "must be positive and finite" in result.stderr
+
+
+@pytest.fixture
+def tiny_beta_file(tmp_path):
+    """Gibbs(1.5) at beta 1e-15: high-degree traces overflow."""
+    path = tmp_path / "tiny_beta.json"
+    save_state(StateSpec.gibbs(1.5, 1e-15), path)
+    return str(path)
+
+
+class TestNonFiniteExits2:
+    @pytest.mark.parametrize("args", [
+        ("eval", "--expr", "X^30 Y^30 N[x^4 + exp(0.3)]", "--method", "trace"),
+        ("eval", "--expr", "X^30 Y^30 N[x^4 + exp(0.3)]", "--method", "recursion"),
+        ("eval", "--expr", "X^30 Y^30 N[x^4 + exp(0.3)]", "--method", "both"),
+        ("gram-check", "--word", "X^12", "--word", "1"),
+        ("kms-check", "--degree", "12", "--trials", "40", "--seed", "3"),
+    ], ids=["trace", "recursion", "both", "gram-check", "kms-check"])
+    def test_route(self, tiny_beta_file, args):
+        result = run_cli(args[0], "--state", tiny_beta_file, *args[1:])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "not finite at beta=1e-15" in result.stderr
 
 
 class TestEval:
@@ -270,6 +294,25 @@ class TestKmsCheckCommand:
             "--seed", "42",
         )
         assert with_env.stdout == with_flag.stdout
+
+    @pytest.mark.parametrize("value", ["abc", "1e3", "-3"])
+    def test_bad_seed_env_exits_2(self, gibbs_file, value):
+        env = dict(os.environ, SWN_KMS_SEED=value)
+        result = run_cli("kms-check", "--state", gibbs_file, "--trials", "2", env=env)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "SWN_KMS_SEED" in result.stderr
+
+    def test_negative_seed_flag_exits_2(self, gibbs_file):
+        result = run_cli("kms-check", "--state", gibbs_file, "--trials", "2", "--seed", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--seed" in result.stderr
+
+    def test_other_subcommands_ignore_seed_env(self):
+        env = dict(os.environ, SWN_KMS_SEED="abc")
+        result = run_cli("relations", "--lambda", "1", "--dim", "8", env=env)
+        assert result.returncode == 0
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_bad_tol_exits_2(self, gibbs_file, tol):

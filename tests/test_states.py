@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -21,6 +22,7 @@ from swnkms.states import (
     chi_closed_form,
     eval_kms_recursion,
     eval_trace,
+    eval_traces,
     kms_shift_sum,
     neg_polylogs,
     state_from_dict,
@@ -230,7 +232,7 @@ class TestEvalTraceContraction:
 
     def test_matches_per_rung_sum(self):
         checked = 0
-        for index in range(60):
+        for index in range(80):
             rng = np.random.default_rng([2024, index])
             state = random_mixture(rng, float(rng.uniform(0.3, 2.5)))
             a = weight_zero_product(random_element(rng, 3), random_element(rng, 3))
@@ -258,6 +260,112 @@ class TestEvalTraceContraction:
             tracemalloc.stop()
         assert math.isfinite(abs(value))
         assert peak < 2**20
+
+
+def loop_trace(state, a):
+    """One element's trace by its own contraction: ``eval_trace`` before traces were batched.
+
+    Returns the value and the sum of the ladder terms' absolute values, the
+    same contraction at z = q with |c| and unit phases (every b_k is positive).
+    """
+    q = math.exp(-state.beta)
+    measure = state.as_measure()
+    total = 0j
+    scale = 0.0
+    if measure.m1:
+        f0 = a.cartan_part(0, 0)
+        total += measure.m1 * f0(0.0)
+        scale += measure.m1 * sum(abs(c) for n, _, c in f0.terms if n == 0)
+    rows, cols, entries = {}, {}, []
+    for (m, k), f in a.terms:
+        if m != k:
+            continue
+        for n, t, c in f.terms:
+            entries.append((rows.setdefault((m, n), len(rows)), cols.setdefault(t, len(cols)), c))
+    if not (measure.atoms and entries):
+        return total, scale
+    lams, weights = zip(*measure.atoms)
+    tables = [states._ladder_poly(lams, m, n) for m, n in rows]
+    b = np.zeros((len(rows), len(lams), max(table.shape[1] for table in tables)))
+    for i, table in enumerate(tables):
+        b[i, :, : table.shape[1]] = table
+    freqs = np.array(list(cols))
+    ms = np.array([m for m, _ in rows])[:, None]
+    sides = []
+    for z, phase in ((q * np.exp(2j * freqs), np.exp(1j * np.multiply.outer(lams, freqs))),
+                     (np.full(len(freqs), q), np.ones((len(lams), len(freqs))))):
+        powers = (z / (1.0 - z)) ** np.arange(b.shape[2])[:, None] / (1.0 - z)
+        phases = (1.0 - q) * np.array(weights)[:, None] * phase
+        sides.append((np.einsum("rak,kt,at->rt", b, powers, phases) * (-z) ** ms).tolist())
+    value = total + sum(c * sides[0][i][j] for i, j, c in entries)
+    return value, scale + sum(abs(c) * abs(sides[1][i][j]) for i, j, c in entries)
+
+
+TINY_BETA = 1e-15
+OVERFLOWING = X**30 * Y**30 * N(FunctionExpr([(4, 0.0, 1.0), (0, 0.3, 1.0)]))
+
+
+class TestEvalTraces:
+    """eval_traces, one contraction for many elements, against a per-element loop."""
+
+    def batch(self, rng):
+        products = [
+            weight_zero_product(random_element(rng, 4), random_element(rng, 4)) for _ in range(12)
+        ]
+        shared = X * Y * N(FunctionExpr([(1, 0.5, 2.0), (0, 0.0, 1.0)]))
+        return products + [
+            shared, 3j * shared, shared + X**2 * Y**2,  # rows and frequencies shared
+            X, X * N(X_VAR) + Y**2,  # no weight-zero terms
+            AlgebraElement.one(),  # a Cartan part alone
+        ]
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_matches_per_element_loop(self, index):
+        rng = np.random.default_rng([1606, index])
+        state = random_mixture(rng, float(rng.uniform(0.05, 2.5)))
+        if index < 4:  # mixtures with a vacuum part
+            atoms = state.as_measure().atoms
+            measure = SpectralMeasure(0.25, tuple((lam, 0.75 * w) for lam, w in atoms))
+            state = StateSpec.mixture(measure, state.beta)
+        elements = self.batch(rng)
+        values = eval_traces(state, elements)
+        assert values.shape == (len(elements),)
+        for a, value in zip(elements, values):
+            expected, scale = loop_trace(state, a)
+            assert abs(value - expected) <= 1e-15 * scale, (index, a)
+
+    def test_vacuum_and_empty(self):
+        elements = [AlgebraElement.one(), X * Y, 2.0 * N(FunctionExpr([(0, 0.0, 1.5), (1, 0.0, 4.0)]))]
+        assert eval_traces(StateSpec.vacuum(1.0), elements).tolist() == [1.0, 0.0, 3.0]
+        empty = eval_traces(StateSpec.gibbs(1.5, 1.0), [])
+        assert empty.shape == (0,) and empty.dtype == complex
+
+    def test_eval_trace_is_one_element(self):
+        state = StateSpec.mixture(SpectralMeasure(0.3, ((1.0, 0.4), (2.7, 0.3))), LN2)
+        a = X**2 * Y**2 * N(FunctionExpr([(2, 0.4, 1.0 - 1j)]))
+        assert eval_trace(state, a) == complex(eval_traces(state, [a])[0])
+
+    def test_overflow_raises_naming_beta_and_term(self):
+        state = StateSpec.gibbs(1.5, TINY_BETA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning-only nan
+            with pytest.raises(ValueError, match=r"not finite at beta=1e-15.*\(30, 4\)"):
+                eval_traces(state, [AlgebraElement.one(), OVERFLOWING])
+
+    def test_short_rows_survive_an_overflowed_power(self):
+        """X^12 Y^12 N[e^{0.3ix}] is finite, though u^24 at frequency 0 overflows.
+
+        The one-column element N[1] shares frequency 0; its zero-padded row
+        must not meet that power as 0 x inf.
+        """
+        state = StateSpec.gibbs(1.5, TINY_BETA)
+        elements = [AlgebraElement.one(), X**12 * Y**12 * N(FunctionExpr.exponential(0.3))]
+        values = eval_traces(state, elements)
+        assert np.isfinite(values).all()
+        assert values[0] == 1.0
+        with np.errstate(over="ignore"):  # the reference's absolute sum overflows
+            expected, _ = loop_trace(state, elements[1])
+        assert abs(values[1] - expected) <= 1e-14 * abs(values[1])
 
 
 class TestChiClosedForm:
@@ -466,6 +574,12 @@ class TestKmsRecursion:
             for name, got, bound in checks:
                 err = abs(mp.mpc(got) - values[d]) / scales[d]
                 assert err <= bound, (name, d, float(err))
+
+    def test_overflow_raises_naming_beta_and_monomial(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite at beta=1e-15 on X\^30 Y\^30"):
+                eval_kms_recursion(SpectralMeasure(0.0, ((1.5, 1.0),)), TINY_BETA, OVERFLOWING)
 
     def test_rejects_bad_arguments(self):
         measure = SpectralMeasure(0.0, ((1.0, 1.0),))

@@ -1,18 +1,21 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from swnkms import algebra, states, verify
-from swnkms.algebra import AlgebraElement, N, X, Y
+from swnkms.algebra import AlgebraElement, N, X, Y, weight_zero_product
 from swnkms.funcspace import X_VAR, FunctionExpr
+from swnkms.grammar import format_element
 from swnkms.states import CartanMeasure, SpectralMeasure, StateSpec
 from swnkms.verify import (
     GramResult,
     gram_psd_check,
     kms_check,
     random_element,
+    random_function,
     support_positivity_check,
 )
 
@@ -45,8 +48,9 @@ class TestKmsCheck:
             (1.3404650466680554, 0.4638032154114315),
             (2.7684799387678165, 0.03192080102595554),
         ))
-        report = kms_check(StateSpec.mixture(measure, 0.5), max_degree=4, trials=20, seed=14017000018)
-        assert report.passed, report
+        for seed in range(14017000018, 14017000030):
+            report = kms_check(StateSpec.mixture(measure, 0.5), max_degree=4, trials=20, seed=seed)
+            assert report.passed, report
 
     def test_trivial_pair_is_exact(self):
         # rho(1*1) = rho(1*U_{i beta}(1)) identically
@@ -85,6 +89,93 @@ class TestKmsCheck:
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             kms_check(StateSpec.gibbs(1.0, 1.0), max_degree=-1)
 
+    def test_rejects_negative_seed(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(verify, "random_element", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            kms_check(StateSpec.gibbs(1.0, 1.0), seed=-1)
+        assert drawn == []
+
+    def test_non_finite_trace_raises(self):
+        """One of these 40 pairs has traces that overflow; a nan residual once passed the check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite at beta=1e-15"):
+                kms_check(StateSpec.gibbs(1.5, 1e-15), max_degree=12, trials=40, seed=3)
+
+
+def loop_kms(state, max_degree, trials, seed, dynamics_scale=1.0):
+    """kms_check pair by pair, two eval_trace calls each: (pairs, largest residual, worst index).
+
+    The worst index is the first pair whose residual beats every earlier one,
+    and None when every residual is 0.
+    """
+    z = 1j * state.beta * dynamics_scale
+    pairs, max_residual, worst = [], 0.0, None
+    for index in range(trials):
+        rng = np.random.default_rng([seed, index])
+        a = random_element(rng, max_degree)
+        b = random_element(rng, max_degree)
+        lhs = states.eval_trace(state, weight_zero_product(a, b))
+        rhs = states.eval_trace(state, weight_zero_product(b, a.automorphism(z)))
+        pairs.append((a, b))
+        residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+        if residual > max_residual:
+            max_residual, worst = residual, index
+    return pairs, max_residual, worst
+
+
+class TestBatchedChecks:
+    """One eval_traces call per check, equal to the per-pair and per-entry loops."""
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("dynamics_scale", [1.0, 2.0])
+    def test_kms_check_matches_pair_loop(self, state, dynamics_scale):
+        for seed in (5, 6):
+            report = kms_check(state, max_degree=4, trials=30, seed=seed, dynamics_scale=dynamics_scale)
+            pairs, max_residual, worst = loop_kms(state, 4, 30, seed, dynamics_scale)
+            assert abs(report.max_residual - max_residual) <= 1e-15 * max_residual
+            expected = ("", "") if worst is None else tuple(map(format_element, pairs[worst]))
+            assert report.worst_pair == expected
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_gram_matches_entry_loop(self, state):
+        words = WORDS + [CUBE]
+        gram = np.array([[states.eval_trace(state, weight_zero_product(wi.star(), wj))
+                          for wj in words] for wi in words])
+        eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+        result = gram_psd_check(state, words)
+        assert abs(result.min_eigenvalue - eigs[0]) <= 1e-15 * np.abs(eigs).max()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"eval_traces": [], "eval_trace": []}
+        original = states.eval_traces
+
+        def batched(state, elements):
+            seen["eval_traces"].append(list(elements))
+            return original(state, elements)
+
+        monkeypatch.setattr(verify, "eval_traces", batched)
+        for module in (states, verify):
+            monkeypatch.setattr(module, "eval_trace", lambda state, a: seen["eval_trace"].append(a))
+        return seen
+
+    def test_one_contraction_per_check(self, calls):
+        state = StateSpec.mixture(SpectralMeasure(0.3, ((1.0, 0.4), (2.7, 0.3))), LN2)
+        kms_check(state, max_degree=4, trials=25, seed=8)
+        assert [len(batch) for batch in calls["eval_traces"]] == [50]
+        gram_psd_check(state, WORDS)
+        assert [len(batch) for batch in calls["eval_traces"]] == [50, len(WORDS) ** 2]
+        assert calls["eval_trace"] == []
+
+    def test_fewer_trials_check_a_prefix(self, calls):
+        state = StateSpec.gibbs(1.5, 1.0)
+        kms_check(state, max_degree=3, trials=10, seed=21)
+        kms_check(state, max_degree=3, trials=20, seed=21)
+        short, long = calls["eval_traces"]
+        assert short == long[:20]
+
 
 class TestWeightZeroProducts:
     """kms_check and gram_psd_check multiply only pairs whose weights cancel."""
@@ -115,6 +206,65 @@ class TestWeightZeroProducts:
 
 
 class TestRandomElements:
+    def test_one_uniform_block_per_element(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def random(self, size):
+                self.calls.append(size)
+                return self.rng.random(size)
+
+        rng = Counting(np.random.default_rng(3))
+        for _ in range(20):
+            random_element(rng, 4)
+        assert rng.calls == [verify.ELEMENT_DRAWS] * 20
+        random_function(rng)
+        assert rng.calls[-1] == verify.FUNCTION_DRAWS
+
+    def test_pair_replays_from_its_own_stream(self):
+        state = StateSpec.gibbs(1.5, 1.0)
+        report = kms_check(state, max_degree=4, trials=20, seed=99, dynamics_scale=2.0)
+        pairs, _, worst = loop_kms(state, 4, 20, 99, 2.0)
+        assert worst is not None
+        rng = np.random.default_rng([99, worst])
+        pair = (random_element(rng, 4), random_element(rng, 4))
+        assert pair == pairs[worst]
+        assert report.worst_pair == tuple(map(format_element, pair))
+
+    def test_draws_cover_the_distribution(self):
+        degree = 3
+        rng = np.random.default_rng(2000)
+        elements = [random_element(rng, degree) for _ in range(2000)]
+        functions = [random_function(rng) for _ in range(2000)]
+        assert {key for el in elements for key, _ in el.terms} == {
+            (m, n) for m in range(degree + 1) for n in range(degree + 1) if m + n <= degree
+        }
+        assert {len(el.terms) for el in elements} == {1, 2, 3}
+        assert {len(f.terms) for f in functions} == {1, 2}
+        # Two terms of one function merge only at frequency 0 and equal powers.
+        terms = [term for f in functions for term in f.terms]
+        assert {n for n, _, _ in terms} == {0, 1, 2}
+        assert max(abs(t) for _, t, _ in terms) < 1.0
+        assert 0.45 < sum(t == 0.0 for _, t, _ in terms) / len(terms) < 0.55
+        assert max(max(abs(c.real), abs(c.imag)) for _, t, c in terms if t) <= 1.0
+
+    @pytest.mark.parametrize("degree, band", [(3, (0.59, 0.67)), (4, (0.675, 0.755))])
+    def test_sabotage_blind_share(self, degree, band):
+        """Share of single pairs whose sabotaged residual stays <= 1e-8.
+
+        Drawn one integer or float per call, pairs read 0.629 (degree 3) and
+        0.715 (degree 4) over 3000 seeds; the share depends on the draw's
+        distribution only, not on how the uniforms are taken.
+        """
+        state = StateSpec.gibbs(1.5, 1.0)
+        seeds = range(2000)
+        blind = sum(
+            kms_check(state, max_degree=degree, trials=1, seed=seed, dynamics_scale=2.0).max_residual <= 1e-8
+            for seed in seeds
+        )
+        assert band[0] <= blind / len(seeds) <= band[1]
+
     def test_degree_bounded(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -173,6 +323,12 @@ class TestGramPsd:
             value = eval_trace(state, a.star() * a)
             assert value.real >= -1e-8 * (1 + abs(value))
             assert abs(value.imag) <= 1e-8 * (1 + abs(value))
+
+    def test_non_finite_trace_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite at beta=1e-15"):
+                gram_psd_check(StateSpec.gibbs(1.5, 1e-15), [X**12, AlgebraElement.one()])
 
     def test_needs_words(self):
         with pytest.raises(ValueError):
