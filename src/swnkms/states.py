@@ -306,7 +306,8 @@ def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
         if measure.atoms and owners:
             lams, weights = zip(*measure.atoms)
             tables = [_ladder_poly(lams, m, n) for m, n in rows]
-            b = np.zeros((len(rows), len(lams), max(table.shape[1] for table in tables)))
+            widths = np.array([table.shape[1] for table in tables])
+            b = np.zeros((len(rows), len(lams), widths.max()))
             for i, table in enumerate(tables):
                 b[i, :, : table.shape[1]] = table
             freqs = np.array(list(cols))
@@ -317,8 +318,7 @@ def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
             # An overflowed u^k (tiny beta) spoils only the rows whose tables reach k:
             # a shorter row's zero padding must not meet it as 0 x inf = nan.
             overflow = ~np.isfinite(powers)
-            reach = np.arange(b.shape[2]) < np.array([table.shape[1] for table in tables])[:, None]
-            spoiled = reach.astype(float) @ overflow > 0
+            spoiled = (np.arange(b.shape[2]) < widths[:, None]).astype(float) @ overflow > 0
             ms = np.array([m for m, _ in rows])
             contracted = np.einsum("rak,kt,at->rt", b, np.where(overflow, 0.0, powers), phases)
             contracted = np.where(spoiled, np.inf, contracted * (-z) ** ms[:, None])
