@@ -16,7 +16,10 @@ Two independent routes:
   seeds its nodes on a uniform grid, the periodogram on any other grid or
   when the pencil fit misses tol.  Each seed gets one variable-projection
   polish (Golub & Pereyra 1973) over one bounded weight solve (weights in
-  [0,1], total mass pinned to 1); there is no multi-start.
+  [0,1], total mass pinned to 1); there is no multi-start.  The weight solve
+  is a direct least-squares solve, with BVLS only when its weights leave
+  [0,1], and the polish takes the projection's analytic Jacobian (Golub &
+  Pereyra 1973; Kaufman 1975) instead of finite differences.
 
 The two routes fail differently; their agreement is the desk-scale
 uniqueness check.
@@ -74,6 +77,12 @@ ATOM_SEPARATION = 1e-6
 WEIGHT_FLOOR = 1e-9
 #: Largest |m1 + sum w - 1| a chi fit may leave before NotExtendable.
 MASS_SLACK = 1e-3
+#: Weight of the row m1 + sum w = 1 in the weight solve: pins the mass to 1.
+MASS_ROW_WEIGHT = 1e8
+#: Pencil singular values at or below this fraction of the largest are noise.
+PENCIL_RANK_CUT = 1e-10
+#: Normalized chi-fit weights at or below this are dropped from the measure.
+ATOM_DROP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,16 @@ class RecoveryResult:
     measure: SpectralMeasure
     residual: float
     method: str
+
+
+def _ladder_ratio(beta: float) -> float:
+    """q = e^{-beta}; ValueError unless beta is finite and q differs from 1 in floats."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    q = math.exp(-beta)
+    if q == 1.0:
+        raise ValueError(f"beta must be positive and above ~1e-16, got {beta}")
+    return q
 
 
 # -- atom-domain route -----------------------------------------------------------
@@ -97,14 +116,14 @@ def ladder_peel(cartan: CartanMeasure, beta: float, tol: float = 1e-8) -> Recove
     unconsumed there.  The residual is the unconsumed mass: |nu - recovered
     ladders| summed over the points and the ladders' tails past them.
 
-    Raises NotExtendable on mass above tol at x < 0, on r < -tol, on a
-    residual above tol, or when the recovered mass is not 1.
+    Raises ValueError on a beta that is not finite or whose e^{-beta} rounds
+    to 1 (below ~1e-16) and on a tol that is not positive and finite;
+    NotExtendable on mass above tol at x < 0, on r < -tol, on a residual
+    above tol, or when the recovered mass is not 1.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    q = _ladder_ratio(beta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    q = math.exp(-beta)
     m0 = cartan.m0
     positive = []
     for x, mass in cartan.atoms:
@@ -167,7 +186,7 @@ def _pencil_nodes(ts: np.ndarray, values: np.ndarray, max_nodes: int) -> np.ndar
         return np.array([])
     h = hankel(values[: length - p], values[length - p - 1 :])
     _, s, vh = svd(h)
-    rank = int(np.sum(s > 1e-10 * s[0]))
+    rank = int(np.sum(s > PENCIL_RANK_CUT * s[0]))
     rank = max(1, min(rank, max_nodes, vh.shape[0], p))
     w0 = vh[:rank, :-1]
     w1 = vh[:rank, 1:]
@@ -206,35 +225,80 @@ def _periodogram_peaks(ts: np.ndarray, values: np.ndarray, max_peaks: int) -> np
 def _solve_weights(ts, chis, geom, lams):
     """Bounded linear solve for (m1, w) at fixed atom locations.
 
-    The design matrix has columns 1 and g(t) e^{i lam t}; BVLS solves its
-    real form with weights in [0,1], the total-mass-one constraint riding
-    along as a heavily weighted row, which is numerically exact at the
-    residual scales accepted here.  Returns m1, w, the rms residual and the
-    real residual vector that the polish minimizes.
+    The design matrix has columns 1 and g(t) e^{i lam t}.  Its real form, with
+    the total-mass-one constraint riding along as a row weighted by
+    MASS_ROW_WEIGHT (numerically exact at the residual scales accepted here),
+    is solved by plain least squares.  Only when those weights leave [0,1]
+    does BVLS run; it starts from the same solution and would return it
+    unchanged inside the box, so the result is BVLS's either way.  Returns
+    the parameters (m1, w_1, ...), the rms residual over the samples, and the
+    augmented real design matrix and residual that the polish reads.
     """
-    cols = [np.ones_like(ts, dtype=complex)]
-    cols += [geom * np.exp(1j * ts * lam) for lam in lams]
-    a = np.column_stack(cols)
-    a_real = np.vstack([a.real, a.imag])
-    b_real = np.concatenate([chis.real, chis.imag])
-    kappa = 1e8  # weight of the mass row
-    a_aug = np.vstack([a_real, kappa * np.ones((1, a.shape[1]))])
-    b_aug = np.concatenate([b_real, [kappa]])
-    params = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls").x
+    a = np.ones((ts.size, len(lams) + 1), dtype=complex)
+    a[:, 1:] = geom[:, None] * np.exp(1j * np.outer(ts, lams))
+    a_aug = np.vstack([a.real, a.imag, np.full((1, a.shape[1]), MASS_ROW_WEIGHT)])
+    b_aug = np.concatenate([chis.real, chis.imag, [MASS_ROW_WEIGHT]])
+    params = np.linalg.lstsq(a_aug, b_aug, rcond=-1)[0]
+    if not np.all((params >= 0.0) & (params <= 1.0)):
+        params = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls").x
     rms = float(np.sqrt(np.mean(np.abs(a @ params - chis) ** 2)))
-    return params[0], params[1:], rms, a_real @ params - b_real
+    return params, rms, a_aug, a_aug @ params - b_aug
+
+
+def _projection_jacobian(ts, a_aug, params, resid):
+    """Derivative of the weight solve's data residual over the atom locations.
+
+    Weights strictly inside (0,1) are free; the rest stay at their bound.  With
+    A_F the free columns, P the projector off their span and D_k the derivative
+    of the design in lam_k (its one column i t g(t) e^{i t lam_k}, zero in the
+    mass row), column k is P D_k p - (A_F^+)^T D_k^T r for the augmented
+    residual r (Golub & Pereyra 1973; Kaufman 1975).  P and A_F^+ come from one
+    SVD of A_F cut where lstsq cuts the rank, so a rank-deficient design still
+    gives a finite Jacobian.
+    """
+    n = ts.size
+    t = ts[:, None]
+    atoms = a_aug[:, 1:]
+    deriv = np.vstack([-t * atoms[n:-1], t * atoms[:n], np.zeros((1, atoms.shape[1]))])
+    jac = deriv * params[1:]
+    free = (params > 0.0) & (params < 1.0)
+    if free.any():
+        u, s, vt = np.linalg.svd(a_aug[:, free], full_matrices=False)
+        kept = s > 0.5 * np.finfo(float).eps * s[0]  # LAPACK's machine precision
+        u, s, vt = u[:, kept], s[kept], vt[kept]
+        jac -= u @ (u.T @ jac)
+        free_atoms = free[1:]
+        pinv_t = u @ (vt[:, np.flatnonzero(free) > 0] / s[:, None])
+        jac[:, free_atoms] -= pinv_t * (resid @ deriv[:, free_atoms])
+    return jac[:-1]
 
 
 def _polish(ts, chis, geom, lams0):
-    """Variable-projection refinement: atom locations move, weights are re-solved."""
+    """Variable-projection refinement: atom locations move, weights are re-solved.
+
+    The Jacobian at a point reuses the weight solve of the residual call there.
+    """
     lams = np.asarray(lams0, dtype=float)
     if lams.size:
-        def residual(x):
-            return _solve_weights(ts, chis, geom, x)[3]
+        last = {}
 
-        fit = least_squares(residual, lams, bounds=(1e-8, np.inf), xtol=1e-14, ftol=1e-14)
+        def solve(x):
+            if "x" not in last or not np.array_equal(last["x"], x):
+                last["x"], last["fit"] = x.copy(), _solve_weights(ts, chis, geom, x)
+            return last["fit"]
+
+        def residual(x):
+            return solve(x)[3][:-1]
+
+        def jacobian(x):
+            params, _, a_aug, resid = solve(x)
+            return _projection_jacobian(ts, a_aug, params, resid)
+
+        fit = least_squares(
+            residual, lams, jac=jacobian, bounds=(1e-8, np.inf), xtol=1e-14, ftol=1e-14
+        )
         lams = np.sort(fit.x)
-    return (lams,) + _solve_weights(ts, chis, geom, lams)[:3]
+    return (lams,) + _solve_weights(ts, chis, geom, lams)[:2]
 
 
 def chi_fit(
@@ -250,41 +314,43 @@ def chi_fit(
     periodogram seeds them on any other grid or when the pencil fit misses
     tol, and the better fit wins.  Each seed is polished once.
 
-    Raises ValueError on a tol that is not positive and finite, a negative
-    max_atoms or non-finite samples; NotExtendable when the root-mean-square
-    residual over the samples exceeds tol (chi is not of the admissible
-    form); IllPosed when two recovered atoms sit closer than ``separation``.
+    Raises ValueError on a beta that is not finite or whose e^{-beta} rounds
+    to 1 (below ~1e-16), a tol that is not positive and finite, a negative
+    max_atoms, fewer than 2 max_atoms + 1 distinct sample times or non-finite
+    samples; NotExtendable when the root-mean-square residual over the
+    samples exceeds tol (chi is not of the admissible form); IllPosed when
+    two recovered atoms sit closer than ``separation``.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    q = _ladder_ratio(beta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_atoms < 0:
         raise ValueError(f"max_atoms must be >= 0, got {max_atoms}")
     pairs = [(float(t), complex(c)) for t, c in samples]
-    if len(pairs) < 2 * max_atoms + 1:
+    distinct = len({t for t, _ in pairs})
+    if distinct < 2 * max_atoms + 1:
         raise ValueError(
-            f"need at least {2 * max_atoms + 1} samples for {max_atoms} atoms, "
-            f"got {len(pairs)}"
+            f"need at least {2 * max_atoms + 1} distinct sample times for "
+            f"{max_atoms} atoms, got {distinct}"
         )
     pairs.sort(key=lambda tc: tc[0])
     ts = np.array([t for t, _ in pairs])
     chis = np.array([c for _, c in pairs])
     if not (np.isfinite(ts).all() and np.isfinite(chis).all()):
         raise ValueError("samples must be finite")
-    geom = _geometric_factor(ts, math.exp(-beta))
+    geom = _geometric_factor(ts, q)
 
     def evaluate(lams0):
-        lams, m1, ws, rms = _polish(ts, chis, geom, lams0)
-        keep = ws > WEIGHT_FLOOR
+        lams, params, rms = _polish(ts, chis, geom, lams0)
+        keep = params[1:] > WEIGHT_FLOOR
         if not np.all(keep):
             lams = lams[keep]
-            m1, ws, rms, _ = _solve_weights(ts, chis, geom, lams)
+            params, rms = _solve_weights(ts, chis, geom, lams)[:2]
         if len(lams) > max_atoms:
-            order = np.argsort(ws)[::-1][:max_atoms]
+            order = np.argsort(params[1:])[::-1][:max_atoms]
             lams = np.sort(lams[order])
-            m1, ws, rms, _ = _solve_weights(ts, chis, geom, lams)
-        return lams, m1, ws, rms
+            params, rms = _solve_weights(ts, chis, geom, lams)[:2]
+        return lams, params[0], params[1:], rms
 
     best = None
     if _is_uniform(ts):
@@ -306,7 +372,7 @@ def chi_fit(
     if abs(total - 1.0) > MASS_SLACK:
         raise NotExtendable(f"fitted mass {total} is not a probability")
     atoms = tuple(
-        (float(lam), float(w) / total) for lam, w in zip(lams, ws) if w / total > 1e-12
+        (float(lam), float(w) / total) for lam, w in zip(lams, ws) if w / total > ATOM_DROP
     )
     measure = SpectralMeasure(float(m1) / total, atoms)
     return RecoveryResult(measure=measure, residual=rms, method="chi-fit")

@@ -392,6 +392,22 @@ class TestRecover:
         assert result.returncode == 2
         assert "beta must be positive and finite" in result.stderr
 
+    @pytest.mark.parametrize("source", ["cartan", "chi"])
+    def test_beta_whose_ratio_rounds_to_one_exits_2(self, tmp_path, source):
+        # e^{-1e-17} is 1.0: the peel used to die with ZeroDivisionError (exit 1)
+        # and the fit with scipy's bare "array must not contain infs or NaNs"
+        if source == "cartan":
+            path = tmp_path / "cartan.json"
+            path.write_text(json.dumps({"m0": 0.0, "atoms": [{"x": 1.5, "mass": 1.0}]}))
+        else:
+            path = tmp_path / "chi.csv"
+            path.write_text("".join(f"{float(t)!r},1.0,0.0\n" for t in np.linspace(-10, 10, 101)))
+        result = run_cli("recover", f"--{source}", str(path), "--beta", "1e-17")
+        assert result.returncode == 2
+        assert "beta must be positive and above ~1e-16" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_needs_exactly_one_input(self, tmp_path):
         result = run_cli("recover", "--beta", "1.0")
         assert result.returncode == 2

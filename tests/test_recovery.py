@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, lsq_linear
 
 from swnkms import recovery
 from swnkms.recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
@@ -133,6 +133,11 @@ class TestLadderPeel:
         with pytest.raises(ValueError):
             ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), beta)
 
+    def test_rejects_beta_whose_ratio_rounds_to_one(self):
+        # e^{-1e-17} is 1.0 in floats: the peel used to divide by 1 - q = 0
+        with pytest.raises(ValueError, match="beta must be positive and above ~1e-16"):
+            ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), 1e-17)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_rejects_non_finite_tol(self, tol):
         # tol nan used to slip past the guard and divide by a zero total mass
@@ -246,6 +251,16 @@ class TestChiFitInputs:
             chi_fit(gaussian_samples(), 1.0, max_atoms=2, tol=tol)
         assert info.type is ValueError
 
+    def test_rejects_beta_whose_ratio_rounds_to_one(self, no_solver):
+        # at beta 1e-17, g(t) = (1-q)/(1-q e^{2it}) is 0/0 at t = 0
+        with pytest.raises(ValueError, match="beta must be positive and above ~1e-16"):
+            chi_fit(gaussian_samples(), 1e-17, max_atoms=2)
+
+    def test_duplicate_times_count_once(self, no_solver):
+        # 11 copies of chi(0) = 1 used to be fitted with two invented atoms
+        with pytest.raises(ValueError, match="at least 5 distinct sample times .* got 1"):
+            chi_fit([(0.0, 1.0 + 0j)] * 11, 1.0, max_atoms=2)
+
     def test_rejects_negative_max_atoms(self, no_solver):
         # no samples and max_atoms -1 used to return the vacuum with a NaN residual
         with pytest.raises(ValueError, match="max_atoms"):
@@ -264,6 +279,110 @@ class TestChiFitInputs:
             chi_fit(samples, 1.0, max_atoms=2)
 
 
+def mixture_samples(noise=0.0):
+    """chi of m1 0.2 with atoms at 1.3 and 3.7 at beta 1 on the usual grid, plus noise."""
+    ts = np.linspace(-10, 10, 101)
+    measure = SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.5)))
+    chis = chi_closed_form(StateSpec.mixture(measure, 1.0), ts)
+    rng = np.random.default_rng(0)
+    return ts, chis + noise * (rng.standard_normal(ts.size) + 1j * rng.standard_normal(ts.size))
+
+
+class TestWeightSolve:
+    """The direct solve agrees with BVLS bit for bit; BVLS runs only off the box."""
+
+    @pytest.fixture
+    def bvls_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lsq_linear(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "lsq_linear", counted)
+        return calls
+
+    @staticmethod
+    def bvls(ts, chis, lams):
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        params, _, a_aug, _ = recovery._solve_weights(ts, chis, geom, np.array(lams))
+        b_aug = np.concatenate([chis.real, chis.imag, [recovery.MASS_ROW_WEIGHT]])
+        return params, lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls").x
+
+    @pytest.mark.parametrize("lams", [[1.2], [1.4, 3.5], [0.9, 1.6, 3.9], [0.5, 1.2, 3.3, 6.1]])
+    def test_interior_weights_match_bvls_bit_for_bit(self, bvls_calls, lams):
+        ts, chis = mixture_samples(noise=1e-2)
+        params, reference = self.bvls(ts, chis, lams)
+        assert np.all((params > 0.0) & (params < 1.0))
+        assert bvls_calls == []
+        assert np.array_equal(params, reference)
+
+    def test_weights_off_the_box_fall_back_to_bvls(self, bvls_calls):
+        # data with a negative atom at 5: least squares puts a weight below 0 there
+        ts, chis = mixture_samples()
+        chis = chis - 0.05 * recovery._geometric_factor(ts, math.exp(-1.0)) * np.exp(5j * ts)
+        params, reference = self.bvls(ts, chis, [1.3, 3.7, 5.0])
+        assert len(bvls_calls) == 1
+        assert params[-1] == 0.0
+        assert np.array_equal(params, reference)
+
+
+class TestProjectionJacobian:
+    """The polish's analytic Jacobian against central differences of the residual."""
+
+    @staticmethod
+    def jacobians(ts, chis, lams, step=1e-4):
+        """(analytic, central-difference, Richardson-extrapolated) Jacobians and the weights."""
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        lams = np.array(lams, dtype=float)
+
+        def residual(x):
+            return recovery._solve_weights(ts, chis, geom, x)[3][:-1]
+
+        def central(h):
+            return np.column_stack([
+                (residual(lams + h * e) - residual(lams - h * e)) / (2 * h)
+                for e in np.eye(lams.size)
+            ])
+
+        params, _, a_aug, resid = recovery._solve_weights(ts, chis, geom, lams)
+        analytic = recovery._projection_jacobian(ts, a_aug, params, resid)
+        return analytic, central(step), 2 * central(step / 2) - central(step), params
+
+    @staticmethod
+    def relative(jac, reference):
+        return np.abs(jac - reference).max() / np.abs(reference).max()
+
+    @pytest.mark.parametrize("lams", [[1.2], [1.4, 3.5], [0.9, 1.6, 3.9], [0.5, 1.2, 3.3, 6.1]])
+    @pytest.mark.parametrize("data", ["noisy", "gaussian"])
+    def test_interior_points(self, lams, data):
+        ts, chis = mixture_samples(noise=1e-2)
+        if data == "gaussian":
+            chis = np.exp(-ts * ts).astype(complex)
+        analytic, central, _, params = self.jacobians(ts, chis, lams)
+        assert np.all((params > 0.0) & (params < 1.0))
+        assert self.relative(analytic, central) <= 1e-6
+
+    def test_weight_held_at_bound(self):
+        ts, chis = mixture_samples()
+        chis = chis - 0.05 * recovery._geometric_factor(ts, math.exp(-1.0)) * np.exp(5j * ts)
+        analytic, central, _, params = self.jacobians(ts, chis, [1.3, 3.7, 5.0])
+        assert params[-1] == 0.0 and np.all(params[:-1] > 0.0)
+        assert np.all(analytic[:, -1] == 0.0)
+        assert self.relative(analytic, central) <= 1e-6
+
+    @pytest.mark.parametrize("lams", [[1.3, 1.3], [1.3, 1.3, 3.7], [0.8, 2.5, 2.5]])
+    def test_coincident_nodes(self, lams):
+        # a rank-deficient design; moving one of two equal nodes is a one-sided
+        # change, so the O(h) error of plain central differences is extrapolated out
+        ts, chis = mixture_samples(noise=1e-2)
+        analytic, _, extrapolated, params = self.jacobians(ts, chis, lams)
+        assert np.all(np.isfinite(analytic))
+        pair = 1 + next(k for k in range(len(lams) - 1) if lams[k] == lams[k + 1])
+        assert params[pair] == pytest.approx(params[pair + 1], rel=1e-12)  # an even split
+        assert self.relative(analytic, extrapolated) <= 1e-6
+
+
 class TestChiFitPipeline:
     @pytest.fixture
     def polishes(self, monkeypatch):
@@ -280,6 +399,21 @@ class TestChiFitPipeline:
         with pytest.raises(NotExtendable):
             chi_fit(gaussian_samples(), 1.0, max_atoms=5)
         assert len(polishes) <= 2
+
+    def test_gaussian_rejection_solve_count(self, monkeypatch):
+        # finite differences cost one weight solve per atom per Jacobian: 270
+        # solves for this rejection; the analytic Jacobian needs at most 60% of that
+        calls = []
+        solve = recovery._solve_weights
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(recovery, "_solve_weights", counted)
+        with pytest.raises(NotExtendable):
+            chi_fit(gaussian_samples(), 1.0, max_atoms=5)
+        assert len(calls) <= 0.6 * 270
 
     def test_uniform_accept_polishes_at_most_twice(self, polishes):
         state = StateSpec.gibbs(2.0, 1.0)
