@@ -12,14 +12,18 @@ Two independent routes:
 * ``chi_fit`` works in the frequency domain.  chi(t) = m1 + g(t) sum_k w_k
   e^{it lam_k} with g(t) = (1-q)/(1-q e^{2it}); multiplying samples by
   1/g(t) turns them into the exponential sum m1/(1-q) - (m1 q/(1-q)) e^{2it}
-  + sum_k w_k e^{it lam_k}.  A matrix-pencil solve (Hua & Sarkar 1990)
-  seeds its nodes on a uniform grid, the periodogram on any other grid or
-  when the pencil fit misses tol.  Each seed gets one variable-projection
-  polish (Golub & Pereyra 1973) over one bounded weight solve (weights in
-  [0,1], total mass pinned to 1); there is no multi-start.  The weight solve
-  is a direct least-squares solve, with BVLS only when its weights leave
-  [0,1], and the polish takes the projection's analytic Jacobian (Golub &
-  Pereyra 1973; Kaufman 1975) instead of finite differences.
+  + sum_k w_k e^{it lam_k}.  A matrix-pencil solve (Hua & Sarkar 1990) seeds
+  its nodes of positive amplitude on a uniform grid, the periodogram on any
+  other grid or when the pencil fit misses tol.  Each seed gets one
+  variable-projection polish (Golub & Pereyra 1973) over one bounded weight
+  solve (weights in [0,1], total mass pinned to 1); there is no multi-start.
+  The weight solve is a direct least-squares solve, with BVLS only when its
+  weights leave [0,1].  The polish is a bounded trust-region loop with the
+  projection's analytic Jacobian (Kaufman 1975) and exact Hessian, which
+  takes Newton steps where Gauss-Newton would converge only linearly at a
+  large residual (Ruhe & Wedin 1980).  When the fit then drops an atom of
+  nonzero weight or trims to max_atoms, the atoms kept are polished once
+  more.
 
 The two routes fail differently; their agreement is the desk-scale
 uniqueness check.
@@ -58,11 +62,6 @@ def lsq_linear(*args, **kwargs):
     return lsq_linear(*args, **kwargs)
 
 
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
-
-
 class NotExtendable(ValueError):
     """The Cartan data admits no covariant KMS extension at this beta."""
 
@@ -73,7 +72,7 @@ class IllPosed(ValueError):
 
 #: Minimum separation between recovered atom locations before IllPosed.
 ATOM_SEPARATION = 1e-6
-#: Fitted weights at or below this are absent atoms: dropped, the rest refitted.
+#: Fitted weights at or below this are absent atoms, dropped from the fit (see chi_fit).
 WEIGHT_FLOOR = 1e-9
 #: Largest |m1 + sum w - 1| a chi fit may leave before NotExtendable.
 MASS_SLACK = 1e-3
@@ -83,6 +82,8 @@ MASS_ROW_WEIGHT = 1e8
 PENCIL_RANK_CUT = 1e-10
 #: Normalized chi-fit weights at or below this are dropped from the measure.
 ATOM_DROP = 1e-12
+#: Lower bound on atom locations in the chi-fit polish.
+LOCATION_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -245,60 +246,143 @@ def _solve_weights(ts, chis, geom, lams):
     return params, rms, a_aug, a_aug @ params - b_aug
 
 
-def _projection_jacobian(ts, a_aug, params, resid):
-    """Derivative of the weight solve's data residual over the atom locations.
+def _projection_derivatives(ts, a_aug, params, resid):
+    """Jacobian of the weight solve's data residual over the atom locations,
+    and the exact Hessian of the projected cost.
 
     Weights strictly inside (0,1) are free; the rest stay at their bound.  With
-    A_F the free columns, P the projector off their span and D_k the derivative
-    of the design in lam_k (its one column i t g(t) e^{i t lam_k}, zero in the
-    mass row), column k is P D_k p - (A_F^+)^T D_k^T r for the augmented
-    residual r (Golub & Pereyra 1973; Kaufman 1975).  P and A_F^+ come from one
-    SVD of A_F cut where lstsq cuts the rank, so a rank-deficient design still
-    gives a finite Jacobian.
+    w the weights, D_k and E_k the first and second derivatives of the design
+    in lam_k (its one column i t g(t) e^{i t lam_k} and -t^2 g(t) e^{i t lam_k},
+    zero in the mass row), G = D w, R the augmented residual and A_F the free
+    columns, let X = U^T G + S^-1 V^T C^T, where A_F = U S V^T and C^T carries
+    D_k^T R in the row of atom k's free column.  Then the Jacobian is G - U X
+    (Golub & Pereyra 1973; Kaufman 1975), and the Hessian of |R|^2 / 2 is the
+    Schur complement G^T G + diag(w_k E_k^T R) - X^T X of the weights' block.
+    The SVD is cut where lstsq cuts the rank, so a rank-deficient design still
+    gives finite derivatives; normal equations would square the mass row's
+    MASS_ROW_WEIGHT into the conditioning.
     """
     n = ts.size
     t = ts[:, None]
     atoms = a_aug[:, 1:]
     deriv = np.vstack([-t * atoms[n:-1], t * atoms[:n], np.zeros((1, atoms.shape[1]))])
-    jac = deriv * params[1:]
+    ws = params[1:]
+    jac = deriv * ws
+    hess = np.diag(-ws * ((resid[:-1] * np.concatenate([ts, ts]) ** 2) @ atoms[:-1]))
     free = (params > 0.0) & (params < 1.0)
     if free.any():
         u, s, vt = np.linalg.svd(a_aug[:, free], full_matrices=False)
         kept = s > 0.5 * np.finfo(float).eps * s[0]  # LAPACK's machine precision
         u, s, vt = u[:, kept], s[kept], vt[kept]
-        jac -= u @ (u.T @ jac)
         free_atoms = free[1:]
-        pinv_t = u @ (vt[:, np.flatnonzero(free) > 0] / s[:, None])
-        jac[:, free_atoms] -= pinv_t * (resid @ deriv[:, free_atoms])
-    return jac[:-1]
+        proj = u.T @ jac
+        cross = np.zeros_like(proj)
+        cross[:, free_atoms] = vt[:, np.flatnonzero(free) > 0] / s[:, None] * (
+            resid @ deriv[:, free_atoms]
+        )
+        jac -= u @ (proj + cross)
+        # J^T J = (P G)^T (P G) + cross^T cross, as U^T P G = 0
+        hess -= proj.T @ cross + cross.T @ proj + 2.0 * cross.T @ cross
+    return jac[:-1], hess + jac.T @ jac
+
+
+def _trust_step(model, grad, radius):
+    """argmin of grad.p + p.model.p / 2 over |p| <= radius, for a positive semidefinite model.
+
+    In the model's eigenbasis the constrained minimizer is -(model + alpha)^-1
+    grad, with alpha found by Newton's method on 1/|p(alpha)| (More & Sorensen
+    1983), started below the root so that it rises to it without overshoot.
+    """
+    lam, vec = np.linalg.eigh(model)
+    lam = np.maximum(lam, 0.0)
+    gq = vec.T @ grad
+    lowest = 0.0 if lam[0] > 0 else np.finfo(float).eps * max(lam[-1], 1.0)
+    alpha = max(lowest, np.linalg.norm(grad) / radius - lam[-1])
+    for _ in range(30):
+        p = gq / (lam + alpha)
+        norm = np.linalg.norm(p)
+        if norm <= radius * (1.0 + 1e-3) and (alpha == lowest or norm >= radius * (1.0 - 1e-3)):
+            break
+        alpha += (norm / radius - 1.0) * norm**2 / np.sum(gq**2 / (lam + alpha) ** 3)
+        alpha = max(alpha, lowest)
+    return -(vec @ p)
 
 
 def _polish(ts, chis, geom, lams0):
     """Variable-projection refinement: atom locations move, weights are re-solved.
 
-    The Jacobian at a point reuses the weight solve of the residual call there.
+    A bounded trust-region loop on f = |r|^2 / 2, the data residual at the
+    best weights for the locations, with gradient J^T r.  Its model is
+    Gauss-Newton's J^T J or the exact Hessian of ``_projection_derivatives``,
+    whichever predicted the last step's actual reduction better (Dennis, Gay
+    & Welsch 1981), starting with J^T J and keeping it wherever the Hessian
+    is not positive definite on the atoms that move: Newton converges
+    quadratically at any residual size, Gauss-Newton only linearly at a large
+    one (Ruhe & Wedin 1980).  Atoms of weight 0 do not move.  Otherwise the
+    loop is scipy's trf: Coleman-Li scaling, which holds an atom at
+    LOCATION_FLOOR while its gradient points outward, the same initial
+    radius and radius update, ftol and xtol 1e-14, gtol 1e-8 on the scaled
+    gradient, and at most 100 evaluations per atom.  A step that crosses
+    the floor is projected onto it.
     """
-    lams = np.asarray(lams0, dtype=float)
-    if lams.size:
-        last = {}
-
-        def solve(x):
-            if "x" not in last or not np.array_equal(last["x"], x):
-                last["x"], last["fit"] = x.copy(), _solve_weights(ts, chis, geom, x)
-            return last["fit"]
-
-        def residual(x):
-            return solve(x)[3][:-1]
-
-        def jacobian(x):
-            params, _, a_aug, resid = solve(x)
-            return _projection_jacobian(ts, a_aug, params, resid)
-
-        fit = least_squares(
-            residual, lams, jac=jacobian, bounds=(1e-8, np.inf), xtol=1e-14, ftol=1e-14
-        )
-        lams = np.sort(fit.x)
-    return (lams,) + _solve_weights(ts, chis, geom, lams)[:2]
+    # strictly above the floor, as trf starts, so that the radius is finite
+    x = np.maximum(np.asarray(lams0, dtype=float), LOCATION_FLOOR + 1e-10)
+    if x.size:
+        fit = _solve_weights(ts, chis, geom, x)
+        budget, evaluations, done, radius, newton = 100 * x.size, 1, False, None, False
+        while not done and evaluations < budget:
+            params, _, a_aug, resid = fit
+            cost = 0.5 * resid[:-1] @ resid[:-1]
+            jac, hess = _projection_derivatives(ts, a_aug, params, resid)
+            grad = jac.T @ resid[:-1]
+            v = np.where(grad > 0, x - LOCATION_FLOOR, 1.0)
+            if np.max(np.abs(v * grad)) < 1e-8:
+                break
+            if radius is None:
+                radius = np.linalg.norm(x / np.sqrt(v))
+            move = params[1:] > 0
+            scale = np.sqrt(v[move])
+            barrier = np.diag(np.maximum(grad[move], 0.0))
+            scaled_jac = jac[:, move] * scale
+            models = (
+                scaled_jac.T @ scaled_jac + barrier,
+                scale[:, None] * hess[np.ix_(move, move)] * scale + barrier,
+            )
+            positive = np.linalg.eigvalsh(models[1])[0] > 0
+            exact = bool(newton and positive)
+            grad_h = scale * grad[move]
+            reduction = -1.0
+            while reduction <= 0 and evaluations < budget:
+                x_new = x.copy()
+                x_new[move] += scale * _trust_step(models[exact], grad_h, radius)
+                x_new = np.maximum(x_new, LOCATION_FLOOR)
+                step = x_new[move] - x[move]
+                step_h = np.divide(step, scale, out=np.zeros_like(step), where=scale > 0)
+                fit_new = _solve_weights(ts, chis, geom, x_new)
+                evaluations += 1
+                reduction = cost - 0.5 * fit_new[3][:-1] @ fit_new[3][:-1]
+                predicted = [-(grad_h @ step_h + 0.5 * step_h @ m @ step_h) for m in models]
+                if positive:
+                    newton = abs(reduction - predicted[1]) < abs(reduction - predicted[0])
+                predicted = predicted[exact]
+                if predicted > 0:
+                    ratio = reduction / predicted
+                else:
+                    ratio = 1.0 if predicted == reduction == 0 else 0.0
+                done = (reduction < 1e-14 * cost and ratio > 0.25) or (
+                    np.linalg.norm(step) < 1e-14 * (1e-14 + np.linalg.norm(x))
+                )
+                if done:
+                    break
+                step_h_norm = np.linalg.norm(step_h)
+                if ratio < 0.25:
+                    radius = 0.25 * step_h_norm
+                elif ratio > 0.75 and step_h_norm > 0.95 * radius:
+                    radius *= 2.0
+            if reduction > 0:
+                x, fit = x_new, fit_new
+        x = np.sort(x)
+    return (x,) + _solve_weights(ts, chis, geom, x)[:2]
 
 
 def chi_fit(
@@ -312,7 +396,14 @@ def chi_fit(
 
     The matrix pencil of chi/g seeds the atoms on a uniform grid; its
     periodogram seeds them on any other grid or when the pencil fit misses
-    tol, and the better fit wins.  Each seed is polished once.
+    tol, and the better fit wins.  An atom's amplitude in chi/g is its
+    weight, so the pencil seeds only nodes of positive amplitude: that
+    leaves out m1's e^{2it} term, of amplitude -m1 q/(1-q), which on noisy
+    data would otherwise take a small weight and wander through the atoms
+    for up to a hundred polish steps before the fit trims it.  Each seed is
+    polished once, and the atoms it keeps once more if it drops one of
+    weight in (0, WEIGHT_FLOOR] or trims to max_atoms; dropping weights of
+    exactly 0 leaves the rest at their optimum, so they are only refitted.
 
     Raises ValueError on a beta that is not finite or whose e^{-beta} rounds
     to 1 (below ~1e-16), a tol that is not positive and finite, a negative
@@ -339,23 +430,29 @@ def chi_fit(
     if not (np.isfinite(ts).all() and np.isfinite(chis).all()):
         raise ValueError("samples must be finite")
     geom = _geometric_factor(ts, q)
+    # BVLS runs on some inputs only; load it for every fit, so that what a
+    # fit's process holds in memory does not hinge on where its weights fell.
+    import scipy.optimize  # noqa: F401
 
     def evaluate(lams0):
         lams, params, rms = _polish(ts, chis, geom, lams0)
-        keep = params[1:] > WEIGHT_FLOOR
+        ws = params[1:]
+        keep = ws > WEIGHT_FLOOR
+        if np.count_nonzero(keep) > max_atoms:
+            keep[np.argsort(ws)[::-1][max_atoms:]] = False
         if not np.all(keep):
             lams = lams[keep]
-            params, rms = _solve_weights(ts, chis, geom, lams)[:2]
-        if len(lams) > max_atoms:
-            order = np.argsort(params[1:])[::-1][:max_atoms]
-            lams = np.sort(lams[order])
-            params, rms = _solve_weights(ts, chis, geom, lams)[:2]
+            if np.any(ws[~keep] > 0):
+                lams, params, rms = _polish(ts, chis, geom, lams)
+            else:  # atoms of weight 0 left the others at their optimum
+                params, rms = _solve_weights(ts, chis, geom, lams)[:2]
         return lams, params[0], params[1:], rms
 
     best = None
     if _is_uniform(ts):
         nodes = _pencil_nodes(ts, chis / geom, max_atoms + 2)
-        best = evaluate(np.sort(nodes[nodes > ATOM_SEPARATION]))
+        amps = np.linalg.lstsq(np.exp(1j * np.outer(ts, nodes)), chis / geom, rcond=None)[0]
+        best = evaluate(np.sort(nodes[(nodes > ATOM_SEPARATION) & (amps.real > 0)]))
     if best is None or not best[3] <= tol:
         cand = evaluate(_periodogram_peaks(ts, chis / geom, max_atoms + 2))
         if best is None or cand[3] < best[3]:

@@ -34,7 +34,10 @@ from .algebra import AlgebraElement
 from .funcspace import FunctionExpr
 from .reps import ladder_diagonal  # noqa: F401  bench/selftest.py wraps it in this namespace
 
+#: Largest |m1 + sum w - 1| a SpectralMeasure accepts, and how far m1 may sit below 0.
 MASS_TOL = 1e-12
+#: Atoms of a SpectralMeasure closer than this times max(1, location) are one atom.
+ATOM_MERGE_RTOL = 1e-12
 
 # Position merge tolerance for ladder atoms landing on the same point from
 # different base atoms (spacing-2 overlaps).
@@ -57,8 +60,8 @@ class ConvergenceError(RuntimeError):
 class SpectralMeasure:
     """m1 * delta_0 plus weighted atoms on (0, inf): the data classifying a state.
 
-    Duplicate atom positions are merged by summing weights; the total mass
-    m1 + sum w_k must be 1 within 1e-12.
+    Atoms within ATOM_MERGE_RTOL (relative) of each other are merged by
+    summing weights; the total mass m1 + sum w_k must be 1 within MASS_TOL.
     """
 
     m1: float
@@ -74,7 +77,7 @@ class SpectralMeasure:
                 continue
             if not 0 < lam < math.inf:
                 raise ValueError(f"atom location must be positive and finite, got {lam}")
-            if merged and abs(lam - merged[-1][0]) <= 1e-12 * max(1.0, lam):
+            if merged and abs(lam - merged[-1][0]) <= ATOM_MERGE_RTOL * max(1.0, lam):
                 merged[-1][1] += w
             else:
                 merged.append([lam, w])

@@ -215,6 +215,22 @@ class TestLazyRecoveryImport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False"
 
+    def test_chi_fit_loads_scipy_optimize_without_bvls(self):
+        # A fit whose weights never leave [0, 1] still loads scipy.optimize,
+        # so a process's memory does not depend on the data it fits.
+        code = (
+            "import sys; import numpy as np; from swnkms import recovery; "
+            "from swnkms.states import SpectralMeasure, StateSpec, chi_closed_form; "
+            "recovery.lsq_linear = None; "
+            "ts = np.linspace(-10.0, 10.0, 101); "
+            "state = StateSpec.mixture(SpectralMeasure(0.2, [(1.3, 0.8)]), 1.0); "
+            "recovery.chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, 1); "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        result = self.run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"
+
 
 class TestChi:
     def test_header_and_endpoints(self, gibbs_file):

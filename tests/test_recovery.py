@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares, lsq_linear
+from scipy.optimize import lsq_linear
 
 from swnkms import recovery
 from swnkms.recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
@@ -241,7 +241,7 @@ class TestChiFitInputs:
         def refuse(*args, **kwargs):
             raise AssertionError("a solver ran on invalid input")
 
-        for name in ("least_squares", "lsq_linear", "svd"):
+        for name in ("_polish", "lsq_linear", "svd"):
             monkeypatch.setattr(recovery, name, refuse)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -279,12 +279,12 @@ class TestChiFitInputs:
             chi_fit(samples, 1.0, max_atoms=2)
 
 
-def mixture_samples(noise=0.0):
+def mixture_samples(noise=0.0, seed=0):
     """chi of m1 0.2 with atoms at 1.3 and 3.7 at beta 1 on the usual grid, plus noise."""
     ts = np.linspace(-10, 10, 101)
     measure = SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.5)))
     chis = chi_closed_form(StateSpec.mixture(measure, 1.0), ts)
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     return ts, chis + noise * (rng.standard_normal(ts.size) + 1j * rng.standard_normal(ts.size))
 
 
@@ -346,7 +346,7 @@ class TestProjectionJacobian:
             ])
 
         params, _, a_aug, resid = recovery._solve_weights(ts, chis, geom, lams)
-        analytic = recovery._projection_jacobian(ts, a_aug, params, resid)
+        analytic = recovery._projection_derivatives(ts, a_aug, params, resid)[0]
         return analytic, central(step), 2 * central(step / 2) - central(step), params
 
     @staticmethod
@@ -383,16 +383,66 @@ class TestProjectionJacobian:
         assert self.relative(analytic, extrapolated) <= 1e-6
 
 
+class TestProjectionHessian:
+    """The polish's exact Hessian against central differences of its gradient J^T r."""
+
+    @staticmethod
+    def hessians(ts, chis, lams, step=1e-4):
+        """(analytic, central-difference) Hessians and the weights.
+
+        At step 1e-5 the differences carry the weight solve's own rounding
+        (about 1e-11 of the gradient, from MASS_ROW_WEIGHT) divided by the
+        step, up to 3e-6 relative; at 1e-4 their truncation error is below 4e-7.
+        """
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        lams = np.array(lams, dtype=float)
+
+        def derivatives(x):
+            params, _, a_aug, resid = recovery._solve_weights(ts, chis, geom, x)
+            jac, hess = recovery._projection_derivatives(ts, a_aug, params, resid)
+            return jac.T @ resid[:-1], hess, params
+
+        central = np.column_stack([
+            (derivatives(lams + step * e)[0] - derivatives(lams - step * e)[0]) / (2 * step)
+            for e in np.eye(lams.size)
+        ])
+        _, hess, params = derivatives(lams)
+        return hess, central, params
+
+    @pytest.mark.parametrize("lams", [[1.2], [1.4, 3.5], [0.9, 1.6, 3.9], [0.5, 1.2, 3.3, 6.1]])
+    @pytest.mark.parametrize("data", ["noisy", "gaussian", "expabs"])
+    def test_interior_points(self, lams, data):
+        ts, chis = mixture_samples(noise=1e-2)
+        if data == "gaussian":
+            chis = np.exp(-ts * ts).astype(complex)
+        elif data == "expabs":
+            chis = np.exp(-np.abs(ts)).astype(complex)
+        hess, central, params = self.hessians(ts, chis, lams)
+        assert np.all((params > 0.0) & (params < 1.0))
+        assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+        assert TestProjectionJacobian.relative(hess, central) <= 1e-6
+
+    def test_weight_held_at_bound(self):
+        ts, chis = mixture_samples()
+        chis = chis - 0.05 * recovery._geometric_factor(ts, math.exp(-1.0)) * np.exp(5j * ts)
+        hess, central, params = self.hessians(ts, chis, [1.3, 3.7, 5.0])
+        assert params[-1] == 0.0 and np.all(params[:-1] > 0.0)
+        assert np.all(hess[-1] == 0.0) and np.all(hess[:, -1] == 0.0)
+        assert TestProjectionJacobian.relative(hess, central) <= 1e-6
+
+
 class TestChiFitPipeline:
     @pytest.fixture
     def polishes(self, monkeypatch):
+        """The atom count of each polish, in call order."""
         calls = []
+        polish = recovery._polish
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return least_squares(*args, **kwargs)
+        def counted(ts, chis, geom, lams0):
+            calls.append(len(lams0))
+            return polish(ts, chis, geom, lams0)
 
-        monkeypatch.setattr(recovery, "least_squares", counted)
+        monkeypatch.setattr(recovery, "_polish", counted)
         return calls
 
     def test_gaussian_rejection_polishes_at_most_twice(self, polishes):
@@ -401,8 +451,9 @@ class TestChiFitPipeline:
         assert len(polishes) <= 2
 
     def test_gaussian_rejection_solve_count(self, monkeypatch):
-        # finite differences cost one weight solve per atom per Jacobian: 270
-        # solves for this rejection; the analytic Jacobian needs at most 60% of that
+        # finite differences cost 270 weight solves for this rejection and
+        # Gauss-Newton with the analytic Jacobian 119; the Newton polish takes
+        # 17, and the bound leaves 3 to spare
         calls = []
         solve = recovery._solve_weights
 
@@ -413,7 +464,7 @@ class TestChiFitPipeline:
         monkeypatch.setattr(recovery, "_solve_weights", counted)
         with pytest.raises(NotExtendable):
             chi_fit(gaussian_samples(), 1.0, max_atoms=5)
-        assert len(calls) <= 0.6 * 270
+        assert len(calls) <= 20
 
     def test_uniform_accept_polishes_at_most_twice(self, polishes):
         state = StateSpec.gibbs(2.0, 1.0)
@@ -428,6 +479,60 @@ class TestChiFitPipeline:
         result = chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, max_atoms=2, tol=1e-5)
         assert measure_error(result.measure, state.as_measure()) <= 1e-5
         assert len(polishes) <= 2
+
+    def test_noisy_trimmed_fit_is_repolished(self, polishes):
+        # the 3-atom polish leaves a spare atom of nonzero weight; the 2 atoms
+        # kept are polished again, so they end at a stationary point of the fit
+        ts, chis = mixture_samples(noise=1e-4, seed=6)
+        result = chi_fit(list(zip(ts, chis)), 1.0, max_atoms=2, tol=1e-3)
+        assert polishes == [3, 2]
+        assert result.residual <= 1e-3
+        assert measure_error(result.measure, SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.5)))) <= 1e-3
+        lams = np.array([lam for lam, _ in result.measure.atoms])
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        params, _, a_aug, resid = recovery._solve_weights(ts, chis, geom, lams)
+        assert np.all((params > 0.0) & (params < 1.0))
+        jac = recovery._projection_derivatives(ts, a_aug, params, resid)[0]
+        assert np.abs(jac.T @ resid[:-1]).max() <= 1e-8
+
+    def test_pencil_seeds_skip_m1_node(self, monkeypatch):
+        # m1's e^{2it} term is a pencil node of negative amplitude, not an atom
+        seeds = []
+        polish = recovery._polish
+
+        def recorded(ts, chis, geom, lams0):
+            seeds.append(np.array(lams0))
+            return polish(ts, chis, geom, lams0)
+
+        monkeypatch.setattr(recovery, "_polish", recorded)
+        ts, chis = mixture_samples()
+        chi_fit(list(zip(ts, chis)), 1.0, max_atoms=3)
+        assert len(seeds) == 1 and np.allclose(seeds[0], [1.3, 3.7], atol=1e-8)
+
+    def test_atom_at_two_is_still_seeded(self, polishes):
+        # its weight outweighs m1's term at the same node, so the amplitude is
+        # positive and the pencil seed alone fits, with no periodogram fallback
+        measure = SpectralMeasure(0.1, ((2.0, 0.5), (3.7, 0.4)))
+        ts = np.linspace(-10, 10, 101)
+        chis = chi_closed_form(StateSpec.mixture(measure, 1.0), ts)
+        result = chi_fit(list(zip(ts, chis)), 1.0, max_atoms=3)
+        assert polishes == [2]
+        assert measure_error(result.measure, measure) <= 1e-6
+
+    def test_noisy_fit_skips_m1_node(self, monkeypatch):
+        # seeded at 2, m1's term took a small weight and wandered for 129 solves
+        solves = []
+        solve = recovery._solve_weights
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(recovery, "_solve_weights", counted)
+        ts, chis = mixture_samples(noise=1e-4, seed=8)
+        result = chi_fit(list(zip(ts, chis)), 1.0, max_atoms=2, tol=1e-3)
+        assert len(solves) <= 20  # measured 12
+        assert measure_error(result.measure, SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.5)))) <= 1e-3
 
     def test_noisy_uniform_fit_needs_periodogram_fallback(self):
         # the pencil seed misses tol on this noise draw; the periodogram seed fits
