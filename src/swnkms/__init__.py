@@ -45,8 +45,8 @@ from .verify import KmsReport, gram_psd_check, kms_check, support_positivity_che
 
 __version__ = "0.1.0"
 
-# Recovery is imported on first use; scipy, which only its ``chi_fit`` needs,
-# loads on that function's first solve.
+# Recovery is imported on first use: importing it would cost every other
+# caller about 10 ms.  It needs numpy alone, like the rest of the package.
 _RECOVERY_NAMES = ("IllPosed", "NotExtendable", "RecoveryResult", "chi_fit", "ladder_peel")
 
 

@@ -4,7 +4,7 @@ Subcommands: relations, eval, chi, kms-check, recover, rep.  Exit codes are a
 scriptable contract: 0 success, 1 failed check / not extendable, 2 invalid
 flags or files, 3 expression parse error.  All output is deterministic given
 flags and seed (env SWN_KMS_SEED supplies kms-check's default seed).  Only
-``recover`` imports ``swnkms.recovery``, and only ``recover --chi`` loads scipy.
+``recover`` imports ``swnkms.recovery``; no subcommand loads scipy.
 """
 
 from __future__ import annotations

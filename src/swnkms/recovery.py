@@ -17,16 +17,16 @@ Two independent routes:
   other grid or when the pencil fit misses tol.  Each seed gets one
   variable-projection polish (Golub & Pereyra 1973) over one bounded weight
   solve (weights in [0,1], total mass pinned to 1); there is no multi-start.
-  The weight solve is a direct least-squares solve, with BVLS only when its
-  weights leave [0,1].  The polish is a bounded trust-region loop with the
-  projection's analytic Jacobian (Kaufman 1975) and exact Hessian, which
-  takes Newton steps where Gauss-Newton would converge only linearly at a
-  large residual (Ruhe & Wedin 1980).  When the fit then drops an atom of
-  nonzero weight or trims to max_atoms, the atoms kept are polished once
-  more.
+  The weight solve is a direct least-squares solve, with BVLS (Stark & Parker
+  1995, ported here as ``lsq_linear``) only when its weights leave [0,1].
+  The polish is a bounded trust-region loop with the projection's analytic
+  Jacobian (Kaufman 1975) and exact Hessian, which takes Newton steps where
+  Gauss-Newton would converge only linearly at a large residual (Ruhe &
+  Wedin 1980).  When the fit then drops an atom of nonzero weight or trims
+  to max_atoms, the atoms kept are polished once more.
 
 The two routes fail differently; their agreement is the desk-scale
-uniqueness check.
+uniqueness check.  Both need numpy alone; nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -37,29 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure, merge_positions
-
-# The scipy routines of ``chi_fit``, imported on first call: loading scipy
-# costs more than the rest of the package, and ``ladder_peel`` needs none of it.
-
-
-def hankel(*args, **kwargs):
-    from scipy.linalg import hankel
-    return hankel(*args, **kwargs)
-
-
-def pinv(*args, **kwargs):
-    from scipy.linalg import pinv
-    return pinv(*args, **kwargs)
-
-
-def svd(*args, **kwargs):
-    from scipy.linalg import svd
-    return svd(*args, **kwargs)
-
-
-def lsq_linear(*args, **kwargs):
-    from scipy.optimize import lsq_linear
-    return lsq_linear(*args, **kwargs)
 
 
 class NotExtendable(ValueError):
@@ -84,6 +61,8 @@ PENCIL_RANK_CUT = 1e-10
 ATOM_DROP = 1e-12
 #: Lower bound on atom locations in the chi-fit polish.
 LOCATION_FLOOR = 1e-8
+#: BVLS stops at a KKT violation or a relative cost decrease below this (scipy's default).
+BVLS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,13 +164,19 @@ def _pencil_nodes(ts: np.ndarray, values: np.ndarray, max_nodes: int) -> np.ndar
     p = length // 2
     if p < 2 or length - p < 2:
         return np.array([])
-    h = hankel(values[: length - p], values[length - p - 1 :])
-    _, s, vh = svd(h)
+    h = values[np.add.outer(np.arange(length - p), np.arange(p + 1))]
+    _, s, vh = np.linalg.svd(h)
+    # in Fortran order, as scipy.linalg.svd returns it: laid out in C order,
+    # w1 makes the product w0^+ w1 below round differently in the last bit
+    vh = np.asfortranarray(vh)
     rank = int(np.sum(s > PENCIL_RANK_CUT * s[0]))
     rank = max(1, min(rank, max_nodes, vh.shape[0], p))
     w0 = vh[:rank, :-1]
     w1 = vh[:rank, 1:]
-    z = np.linalg.eigvals(pinv(w0.T) @ w1.T)
+    # pseudo-inverse of w0.T, cut where scipy.linalg.pinv cuts the rank
+    u, s, vh = np.linalg.svd(w0.T, full_matrices=False)
+    r = np.sum(s > max(w0.shape) * np.finfo(float).eps * s[0])
+    z = np.linalg.eigvals(((u[:, :r] / s[:r]) @ vh[:r]).conj().T @ w1.T)
     return np.sort(np.angle(z) / dt)
 
 
@@ -223,6 +208,64 @@ def _periodogram_peaks(ts: np.ndarray, values: np.ndarray, max_peaks: int) -> np
     return np.sort(lams[ranked])
 
 
+def lsq_linear(a, b, x0):
+    """argmin |a x - b| over the box [0, 1], started from the least-squares solution x0.
+
+    BVLS (Stark & Parker 1995) as scipy 1.17.1 runs it in
+    ``lsq_linear(a, b, bounds=(0, 1), method="bvls")``, step for step, so that
+    the result is scipy's bit for bit.  The initialization clamps x0 into the
+    box and re-solves on the variables still free, clamping again, until the
+    free solution is feasible.  Each main iteration then frees the bound
+    variable whose gradient pushes outward hardest, re-solves on the free
+    set, and steps back along the segment to the first bound it crosses,
+    binding that variable, until the free solution is feasible.  The loop
+    stops when the KKT conditions hold within BVLS_TOL, when the cost falls
+    by less than BVLS_TOL of itself, or after one iteration per variable.
+    """
+    # -1, 0 or 1: held at 0, free, or held at 1
+    on_bound = np.where(x0 <= 0.0, -1.0, np.where(x0 >= 1.0, 1.0, 0.0))
+    x = np.where(on_bound == 0, x0, np.maximum(on_bound, 0.0))
+    free = np.flatnonzero(on_bound == 0)
+    while free.size > 0:
+        z = np.linalg.lstsq(a[:, free], b - a @ (x * (on_bound != 0)), rcond=None)[0]
+        side = np.where(z < 0.0, -1.0, np.where(z > 1.0, 1.0, 0.0))
+        x[free] = np.where(side == 0, z, np.maximum(side, 0.0))
+        on_bound[free] = side
+        if not side.any():
+            break
+        free = free[side == 0]
+    r = a @ x - b
+    cost, g = 0.5 * np.dot(r, r), a.T @ r
+    for _ in range(x.size):
+        # KKT: no gradient on a free variable, none pushing a bound one inward
+        if np.max(np.where(on_bound == 0, np.abs(g), g * on_bound)) < BVLS_TOL:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0.0
+        while True:
+            free = np.flatnonzero(on_bound == 0)
+            x_free = x[free]
+            z = np.linalg.lstsq(a[:, free], b - a @ (x * (on_bound != 0)), rcond=None)[0]
+            low, high = np.flatnonzero(z < 0.0), np.flatnonzero(z > 1.0)
+            crossing = np.hstack((low, high))
+            if crossing.size == 0:
+                x[free] = z
+                break
+            alphas = np.hstack((0.0 - x_free[low], 1.0 - x_free[high])) / (
+                z[crossing] - x_free[crossing]
+            )
+            i = np.argmin(alphas)
+            x_free *= 1 - alphas[i]
+            x_free += alphas[i] * z
+            x[free] = x_free
+            on_bound[free[crossing[i]]] = -1.0 if i < low.size else 1.0
+        r = a @ x - b
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < BVLS_TOL * cost:
+            break
+        cost, g = cost_new, a.T @ r
+    return x
+
+
 def _solve_weights(ts, chis, geom, lams):
     """Bounded linear solve for (m1, w) at fixed atom locations.
 
@@ -230,10 +273,11 @@ def _solve_weights(ts, chis, geom, lams):
     the total-mass-one constraint riding along as a row weighted by
     MASS_ROW_WEIGHT (numerically exact at the residual scales accepted here),
     is solved by plain least squares.  Only when those weights leave [0,1]
-    does BVLS run; it starts from the same solution and would return it
-    unchanged inside the box, so the result is BVLS's either way.  Returns
-    the parameters (m1, w_1, ...), the rms residual over the samples, and the
-    augmented real design matrix and residual that the polish reads.
+    does BVLS (``lsq_linear``, this module's port of scipy's) run; it starts
+    from the same solution and would return it unchanged inside the box, so
+    the result is BVLS's either way.  Returns the parameters (m1, w_1, ...),
+    the rms residual over the samples, and the augmented real design matrix
+    and residual that the polish reads.
     """
     a = np.ones((ts.size, len(lams) + 1), dtype=complex)
     a[:, 1:] = geom[:, None] * np.exp(1j * np.outer(ts, lams))
@@ -241,7 +285,7 @@ def _solve_weights(ts, chis, geom, lams):
     b_aug = np.concatenate([chis.real, chis.imag, [MASS_ROW_WEIGHT]])
     params = np.linalg.lstsq(a_aug, b_aug, rcond=-1)[0]
     if not np.all((params >= 0.0) & (params <= 1.0)):
-        params = lsq_linear(a_aug, b_aug, bounds=(0.0, 1.0), method="bvls").x
+        params = lsq_linear(a_aug, b_aug, params)
     rms = float(np.sqrt(np.mean(np.abs(a @ params - chis) ** 2)))
     return params, rms, a_aug, a_aug @ params - b_aug
 
@@ -430,9 +474,6 @@ def chi_fit(
     if not (np.isfinite(ts).all() and np.isfinite(chis).all()):
         raise ValueError("samples must be finite")
     geom = _geometric_factor(ts, q)
-    # BVLS runs on some inputs only; load it for every fit, so that what a
-    # fit's process holds in memory does not hinge on where its weights fell.
-    import scipy.optimize  # noqa: F401
 
     def evaluate(lams0):
         lams, params, rms = _polish(ts, chis, geom, lams0)

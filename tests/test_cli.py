@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_malformed_json_exits_2(tmp_path, command, flag, text):
 
 
 class TestLazyRecoveryImport:
-    """Only ``recover`` loads swnkms.recovery, and only ``recover --chi`` loads scipy."""
+    """Only ``recover`` loads swnkms.recovery, and nothing in swnkms loads scipy."""
 
     def run_python(self, code):
         return subprocess.run(
@@ -215,21 +216,51 @@ class TestLazyRecoveryImport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 False"
 
-    def test_chi_fit_loads_scipy_optimize_without_bvls(self):
-        # A fit whose weights never leave [0, 1] still loads scipy.optimize,
-        # so a process's memory does not depend on the data it fits.
-        code = (
-            "import sys; import numpy as np; from swnkms import recovery; "
-            "from swnkms.states import SpectralMeasure, StateSpec, chi_closed_form; "
-            "recovery.lsq_linear = None; "
-            "ts = np.linspace(-10.0, 10.0, 101); "
-            "state = StateSpec.mixture(SpectralMeasure(0.2, [(1.3, 0.8)]), 1.0); "
-            "recovery.chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, 1); "
-            "print('scipy.optimize' in sys.modules)"
-        )
+    def test_chi_fit_runs_without_scipy(self, tmp_path):
+        # With scipy blocked, so that importing any part of it raises, chi_fit
+        # accepts in the box, falls back to BVLS off it and rejects a Gaussian,
+        # and ``recover --chi`` runs; no scipy module is loaded afterwards.
+        ts = np.linspace(-10.0, 10.0, 101)
+        state = StateSpec.mixture(SpectralMeasure(0.2, [(1.3, 0.3), (3.7, 0.5)]), 1.0)
+        chi_path, out_path = tmp_path / "chi.csv", tmp_path / "recovered.json"
+        rows = zip(ts.tolist(), chi_closed_form(state, ts).tolist())
+        text = "".join(f"{t!r},{c.real!r},{c.imag!r}\n" for t, c in rows)
+        chi_path.write_text("t,re_chi,im_chi\n" + text)
+        code = textwrap.dedent(f"""
+            import math, sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            from swnkms import recovery
+            from swnkms.cli import main
+            from swnkms.states import SpectralMeasure, StateSpec, chi_closed_form
+
+            bvls, calls = recovery.lsq_linear, []
+            recovery.lsq_linear = lambda *args: calls.append(1) or bvls(*args)
+            ts = np.linspace(-10.0, 10.0, 101)
+            state = StateSpec.mixture(SpectralMeasure(0.2, [(1.3, 0.3), (3.7, 0.5)]), 1.0)
+            chis = chi_closed_form(state, ts)
+            geom = recovery._geometric_factor(ts, math.exp(-1.0))
+            negative = chis - 0.05 * geom * np.exp(5j * ts)
+            gaussian = np.exp(-ts * ts).astype(complex)
+            for chi in (chis, negative, gaussian):
+                try:
+                    recovery.chi_fit(list(zip(ts, chi)), 1.0, 2)
+                    print("accepted", len(calls) > 0)
+                except recovery.NotExtendable:
+                    print("rejected", len(calls) > 0)
+                calls.clear()
+            print("recover", main(["recover", "--chi", {str(chi_path)!r}, "--beta", "1.0",
+                                   "--max-atoms", "2", "--out", {str(out_path)!r}]))
+            assert sys.modules.pop("scipy") is None
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
         result = self.run_python(code)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "True"
+        assert result.stdout.splitlines() == [
+            "accepted False", "rejected True", "rejected False", "recover 0", "[]",
+        ]
+        report = json.loads(out_path.read_text())
+        assert [atom["lambda"] for atom in report["atoms"]] == pytest.approx([1.3, 3.7])
 
 
 class TestChi:

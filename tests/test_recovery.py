@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import hankel, pinv, svd
 from scipy.optimize import lsq_linear
 
 from swnkms import recovery
@@ -241,7 +242,7 @@ class TestChiFitInputs:
         def refuse(*args, **kwargs):
             raise AssertionError("a solver ran on invalid input")
 
-        for name in ("_polish", "lsq_linear", "svd"):
+        for name in ("_polish", "lsq_linear", "_pencil_nodes"):
             monkeypatch.setattr(recovery, name, refuse)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -289,15 +290,16 @@ def mixture_samples(noise=0.0, seed=0):
 
 
 class TestWeightSolve:
-    """The direct solve agrees with BVLS bit for bit; BVLS runs only off the box."""
+    """The weight solve agrees with scipy's BVLS bit for bit; BVLS runs only off the box."""
 
     @pytest.fixture
     def bvls_calls(self, monkeypatch):
         calls = []
+        port = recovery.lsq_linear
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return lsq_linear(*args, **kwargs)
+            return port(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "lsq_linear", counted)
         return calls
@@ -325,6 +327,76 @@ class TestWeightSolve:
         assert len(bvls_calls) == 1
         assert params[-1] == 0.0
         assert np.array_equal(params, reference)
+
+    def test_weight_above_one_is_held_at_one(self, bvls_calls):
+        # m1 -0.3 and one atom of weight 1.3: least squares puts m1 below 0 and w above 1
+        ts = np.linspace(-10, 10, 101)
+        chis = -0.3 + 1.3 * recovery._geometric_factor(ts, math.exp(-1.0)) * np.exp(1.3j * ts)
+        params, reference = self.bvls(ts, chis, [1.3])
+        assert len(bvls_calls) == 1
+        assert params[0] == 0.0 and params[1] == 1.0
+        assert np.array_equal(params, reference)
+
+    def test_several_bounds_active(self, bvls_calls):
+        # negative atoms at 5, 6 and 7: least squares puts all three weights below 0
+        ts, chis = mixture_samples()
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        for lam, w in ((5.0, 0.05), (6.0, 0.08), (7.0, 0.04)):
+            chis = chis - w * geom * np.exp(1j * lam * ts)
+        params, reference = self.bvls(ts, chis, [1.3, 3.7, 5.0, 6.0, 7.0])
+        assert len(bvls_calls) == 1
+        assert np.array_equal(params[3:], np.zeros(3))
+        assert np.array_equal(params, reference)
+
+    def test_rank_deficient_design(self, bvls_calls):
+        # two coincident atoms make two equal columns; the negative atom at 5 forces BVLS
+        ts, chis = mixture_samples()
+        chis = chis - 0.05 * recovery._geometric_factor(ts, math.exp(-1.0)) * np.exp(5j * ts)
+        params, reference = self.bvls(ts, chis, [1.3, 1.3, 3.7, 5.0])
+        assert len(bvls_calls) == 1
+        assert np.array_equal(params, reference)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def test_random_box_problems_match_scipy(self):
+        # Up to 6 columns, some with two equal columns, half with a heavy row
+        # like the mass row.  A few such designs drive both implementations to
+        # the same NaNs (a 0/0 step length), which compare equal here.
+        rng = np.random.default_rng(19)
+        off_the_box = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            a = rng.standard_normal((int(rng.integers(n + 1, 30)), n)) * rng.uniform(0.1, 3.0)
+            if n > 1 and rng.random() < 0.2:
+                a[:, 1] = a[:, 0]
+            b = rng.standard_normal(a.shape[0]) * rng.uniform(0.1, 5.0)
+            if rng.random() < 0.5:
+                a = np.vstack([a, np.full((1, n), recovery.MASS_ROW_WEIGHT)])
+                b = np.append(b, recovery.MASS_ROW_WEIGHT)
+            x0 = np.linalg.lstsq(a, b, rcond=-1)[0]
+            if np.all((x0 >= 0.0) & (x0 <= 1.0)):
+                continue
+            off_the_box += 1
+            reference = lsq_linear(a, b, bounds=(0.0, 1.0), method="bvls").x
+            assert np.array_equal(recovery.lsq_linear(a, b, x0), reference, equal_nan=True)
+        assert off_the_box >= 250
+
+
+@pytest.mark.parametrize("length", [21, 50, 101])
+def test_pencil_nodes_match_scipy_bit_for_bit(length):
+    # scipy's Hankel, SVD and pseudo-inverse are the reference the numpy pencil replaces
+    rng = np.random.default_rng(length)
+    ts = np.linspace(-10.0, 10.0, length)
+    p = length // 2
+    for _ in range(40):
+        count = int(rng.integers(1, 6))
+        values = sum(rng.uniform(-1, 1) * np.exp(1j * rng.uniform(0, 6) * ts) for _ in range(count))
+        values = values + rng.choice([0.0, 1e-8, 1e-3]) * rng.standard_normal(length)
+        max_nodes = int(rng.integers(1, 7))
+        _, s, vh = svd(hankel(values[: length - p], values[length - p - 1 :]))
+        rank = max(1, min(int(np.sum(s > recovery.PENCIL_RANK_CUT * s[0])), max_nodes, p))
+        z = np.linalg.eigvals(pinv(vh[:rank, :-1].T) @ vh[:rank, 1:].T)
+        reference = np.sort(np.angle(z) / (ts[1] - ts[0]))
+        assert np.array_equal(recovery._pencil_nodes(ts, values, max_nodes), reference)
 
 
 class TestProjectionJacobian:
