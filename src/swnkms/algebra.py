@@ -16,7 +16,9 @@ one-parameter automorphism group scales X by e^{iz} and Y by e^{-iz}.
 closed-form product and for confluence experiments with randomized redex
 choice); ``AlgebraElement`` multiplication uses the memoized closed-form
 reordering of Y^n X^m plus the Cartan shift bookkeeping, which gives the same
-canonical forms.
+canonical forms.  Monomial products are formed on unmerged term lists and
+canonicalized once per output monomial; ``weight_zero_rows`` hands the
+weight-zero part of a product, unmerged, to the trace evaluator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .funcspace import ONE, X_VAR, FunctionExpr
+from .funcspace import ONE, X_VAR, FunctionExpr, mul_terms, shift_terms
 
 # Shift step of the Cartan commutation: moving N_F left past X translates F
 # by +2, matching the module spectrum {lambda + 2p} stepping by one rung.
@@ -124,11 +126,13 @@ class AlgebraElement:
         if isinstance(other, (int, float, complex)):
             return AlgebraElement([(key, f * other) for key, f in self.terms])
         if isinstance(other, AlgebraElement):
-            out: list[tuple[MonKey, FunctionExpr]] = []
+            # raw terms gathered per output monomial, each merged once at the end
+            raw: dict[MonKey, list] = {}
             for (m1, n1), f1 in self.terms:
                 for (m2, n2), f2 in other.terms:
-                    out.extend(_monomial_product(m1, n1, f1, m2, n2, f2))
-            return AlgebraElement(out)
+                    for key, g in _monomial_product(m1, n1, f1.terms, m2, n2, f2.terms):
+                        raw.setdefault(key, []).extend(g)
+            return AlgebraElement([(key, FunctionExpr(g)) for key, g in raw.items()])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -234,26 +238,36 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
 
 
-def weight_zero_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The weight-zero part of a * b: the sum over w of a_w * b_{-w}.
+def weight_zero_rows(a: AlgebraElement, b: AlgebraElement) -> tuple[list, list, list, list]:
+    """The weight-zero part of a * b as unmerged rows (m, n, t, c), one list per column.
 
-    a_w holds the monomials of a with m - n = w.  A product of monomials has
-    the sum of their weights, so no other pair reaches weight zero, and the
-    pairs that do are the only part of a * b a covariant state can see.
+    Row i is the term cs[i] x^ns[i] e^{i ts[i] x} of the Cartan factor of
+    X^m Y^m, m = ms[i]; rows with equal (m, n, t) are not merged, so their sum
+    is the part's value under any linear functional.  Columns of plain
+    numbers leave no object per row for the garbage collector to scan.  A
+    product of monomials has the sum of their weights m - n, so only the
+    pairs whose weights cancel are multiplied: they are the only part of
+    a * b a covariant state can see.
     """
-    a_by_weight, b_by_weight = _by_weight(a), _by_weight(b)
-    out = []
-    for w, a_w in a_by_weight.items():
-        if -w in b_by_weight:
-            out.extend((AlgebraElement(a_w) * AlgebraElement(b_by_weight[-w])).terms)
-    return AlgebraElement(out)
+    ms, ns, ts, cs = [], [], [], []
+    for (m1, n1), f1 in a.terms:
+        for (m2, n2), f2 in b.terms:
+            if m1 - n1 == n2 - m2:
+                for (m, _), g in _monomial_product(m1, n1, f1.terms, m2, n2, f2.terms):
+                    powers, freqs, coeffs = zip(*g)
+                    ms += [m] * len(g)
+                    ns += powers
+                    ts += freqs
+                    cs += coeffs
+    return ms, ns, ts, cs
 
 
-def _by_weight(a: AlgebraElement) -> dict[int, list[tuple[MonKey, FunctionExpr]]]:
-    groups: dict[int, list] = {}
-    for (m, n), f in a.terms:
-        groups.setdefault(m - n, []).append(((m, n), f))
-    return groups
+def weight_zero_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The weight-zero part of a * b, the canonical form of ``weight_zero_rows``."""
+    by_row: dict[int, list] = {}
+    for m, n, t, c in zip(*weight_zero_rows(a, b)):
+        by_row.setdefault(m, []).append((n, t, c))
+    return AlgebraElement([((m, m), FunctionExpr(terms)) for m, terms in by_row.items()])
 
 
 # -- the closed-form monomial product -----------------------------------------
@@ -278,19 +292,23 @@ def _reorder_yx(n: int, m: int) -> AlgebraElement:
     return AlgebraElement(out)
 
 
+@lru_cache(maxsize=None)
+def _shifted_reorder(n1: int, m2: int, n2: int) -> tuple[tuple[MonKey, tuple], ...]:
+    """``_reorder_yx(n1, m2)`` with each Cartan factor translated by 2 n2, as term tuples."""
+    return tuple((key, p.shift(SHIFT_STEP * n2).terms) for key, p in _reorder_yx(n1, m2).terms)
+
+
 def _monomial_product(m1, n1, f1, m2, n2, f2):
-    """Normal-order (X^m1 Y^n1 N_f1)(X^m2 Y^n2 N_f2).
+    """Normal-order (X^m1 Y^n1 N_f1)(X^m2 Y^n2 N_f2), f1 and f2 given by their terms.
 
     Push N_f1 right through X^m2 Y^n2 (translating by -2*m2 + 2*n2), reorder
     the inner Y^n1 X^m2 with the cached closed form, then push any Cartan factors
-    of the reordering right through Y^n2.
+    of the reordering right through Y^n2.  Returns [((m, n), raw terms), ...]:
+    the terms of each Cartan factor are left unmerged, for the caller to
+    canonicalize once or to trace as they are.
     """
-    carried = f1.shift(SHIFT_STEP * (n2 - m2)) * f2
-    out = []
-    for (a, b), p in _reorder_yx(n1, m2).terms:
-        g = p.shift(SHIFT_STEP * n2) * carried
-        out.append(((m1 + a, b + n2), g))
-    return out
+    carried = mul_terms(shift_terms(f1, SHIFT_STEP * (n2 - m2)), f2)
+    return [((m1 + a, b + n2), mul_terms(p, carried)) for (a, b), p in _shifted_reorder(n1, m2, n2)]
 
 
 # -- the raw rewrite engine ----------------------------------------------------

@@ -27,6 +27,7 @@ from .states import (
     chi_closed_form,
     eval_kms_recursion,
     eval_trace,
+    eval_traces,
     load_state,
     state_to_dict,
 )
@@ -165,8 +166,8 @@ def cmd_chi(args) -> int:
     if args.cross_check:
         lines.append("t,re_chi,im_chi,re_trace,im_trace")
         max_gap = 0.0
-        for t, c in zip(ts, chi):
-            traced = eval_trace(state, N(FunctionExpr.exponential(t)))
+        traces = eval_traces(state, [N(FunctionExpr.exponential(t)) for t in ts])
+        for t, c, traced in zip(ts, chi, traces):
             max_gap = max(max_gap, abs(traced - c))
             lines.append(
                 f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},"

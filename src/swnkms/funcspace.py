@@ -3,7 +3,9 @@
 This span is closed under pointwise product, translation and complex
 conjugation, which is exactly what the commutation relations of the operator
 algebra consume.  Instances are immutable and hashable; all operations return
-new objects.
+new objects.  ``mul_terms`` and ``shift_terms`` are the raw kernels behind
+``*`` and ``shift``: they return unmerged terms, for callers that merge once
+at the end or never.
 """
 
 from __future__ import annotations
@@ -26,6 +28,26 @@ def _canonical(terms) -> tuple[tuple[int, float, complex], ...]:
     kept = [(n, t, c) for (n, t), c in acc.items() if c != 0]
     kept.sort(key=lambda item: (item[0], item[1]))
     return tuple(kept)
+
+
+def mul_terms(left, right) -> list[tuple[int, float, complex]]:
+    """Raw terms of the pointwise product: every pair of terms, nothing merged."""
+    return [(n1 + n2, t1 + t2, c1 * c2) for n1, t1, c1 in left for n2, t2, c2 in right]
+
+
+def shift_terms(terms, a: float):
+    """Raw terms of the translate T_a, nothing merged; ``terms`` itself when a is 0.
+
+    Powers expand binomially, exponentials pick up the phase e^{-i t a}.
+    """
+    if a == 0.0:
+        return terms
+    out = []
+    for n, t, c in terms:
+        phase = c * cmath.exp(-1j * t * a)
+        for k in range(n + 1):
+            out.append((k, t, phase * comb(n, k) * (-a) ** (n - k)))
+    return out
 
 
 class FunctionExpr:
@@ -101,11 +123,7 @@ class FunctionExpr:
         if isinstance(other, (int, float, complex)):
             return FunctionExpr([(n, t, c * other) for n, t, c in self.terms])
         if isinstance(other, FunctionExpr):
-            prod = []
-            for n1, t1, c1 in self.terms:
-                for n2, t2, c2 in other.terms:
-                    prod.append((n1 + n2, t1 + t2, c1 * c2))
-            return FunctionExpr(prod)
+            return FunctionExpr(mul_terms(self.terms, other.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -119,19 +137,11 @@ class FunctionExpr:
         return out
 
     def shift(self, a: float) -> "FunctionExpr":
-        """The translate T_a: (T_a F)(x) = F(x - a).
-
-        Powers expand binomially, exponentials pick up the phase e^{-i t a}.
-        """
+        """The translate T_a: (T_a F)(x) = F(x - a), by ``shift_terms``."""
         a = float(a)
         if a == 0.0:
             return self
-        out = []
-        for n, t, c in self.terms:
-            phase = c * cmath.exp(-1j * t * a)
-            for k in range(n + 1):
-                out.append((k, t, phase * comb(n, k) * (-a) ** (n - k)))
-        return FunctionExpr(out)
+        return FunctionExpr(shift_terms(self.terms, a))
 
     def conjugate(self) -> "FunctionExpr":
         """Pointwise complex conjugate; an involution on the span."""

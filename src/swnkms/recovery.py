@@ -213,8 +213,11 @@ def lsq_linear(a, b, x0):
 
     BVLS (Stark & Parker 1995) as scipy 1.17.1 runs it in
     ``lsq_linear(a, b, bounds=(0, 1), method="bvls")``, step for step, so that
-    the result is scipy's bit for bit.  The initialization clamps x0 into the
-    box and re-solves on the variables still free, clamping again, until the
+    the result is scipy's bit for bit, except where scipy returns NaN: when a
+    variable left slightly past its bound is freed and re-solves to the same
+    value, scipy divides by its zero step; here its step length is 0 and it
+    is bound exactly on its bound.  The initialization clamps x0 into the box
+    and re-solves on the variables still free, clamping again, until the
     free solution is feasible.  Each main iteration then frees the bound
     variable whose gradient pushes outward hardest, re-solves on the free
     set, and steps back along the segment to the first bound it crosses,
@@ -250,14 +253,19 @@ def lsq_linear(a, b, x0):
             if crossing.size == 0:
                 x[free] = z
                 break
-            alphas = np.hstack((0.0 - x_free[low], 1.0 - x_free[high])) / (
-                z[crossing] - x_free[crossing]
+            # a crossing variable that does not move sits past its bound already
+            step = z[crossing] - x_free[crossing]
+            alphas = np.hstack((0.0 - x_free[low], 1.0 - x_free[high])) / np.where(
+                step == 0.0, np.inf, step
             )
             i = np.argmin(alphas)
             x_free *= 1 - alphas[i]
             x_free += alphas[i] * z
             x[free] = x_free
-            on_bound[free[crossing[i]]] = -1.0 if i < low.size else 1.0
+            j = free[crossing[i]]
+            on_bound[j] = -1.0 if i < low.size else 1.0
+            if step[i] == 0.0:
+                x[j] = max(on_bound[j], 0.0)
         r = a @ x - b
         cost_new = 0.5 * np.dot(r, r)
         if cost - cost_new < BVLS_TOL * cost:

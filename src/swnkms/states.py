@@ -5,10 +5,11 @@ mass m1 at the bottom (vacuum component) plus a probability measure on the
 positive half-line (Gibbs components); ``SpectralMeasure`` is the finite-atom
 realization.  Two independent evaluators are provided:
 
-* ``eval_traces`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
+* ``trace_rows`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
   diagonal of X^m Y^m in the lowest-weight module (the module route), summed
   over the whole ladder in closed form (no truncation), for a batch of
-  elements in one contraction (``eval_trace`` for one);
+  elements given as unmerged term rows in one contraction (``eval_traces``
+  flattens canonical elements into it, ``eval_trace`` one element);
 * ``eval_kms_recursion`` -- the iterated KMS identity
   rho(X A N_F) = rho([A, X] N_G), G = sum_{j>=1} e^{-beta j} T_{-2j}F,
   run down to Gibbs-ladder Cartan moments (no matrices).  G has a closed
@@ -262,9 +263,35 @@ def _ladder_poly(lams: tuple[float, ...], m: int, n: int) -> np.ndarray:
 def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
     """State values of ``elements`` by the trace over each whole Gibbs ladder, in closed form.
 
-    The vacuum part is m1 F(0) on the Cartan part.  An atom (lam, w) gives
-    X^m Y^m N_F the value w (1-q) sum_p q^p diag_m(p) F(lam + 2p), q = e^{-beta}.
-    For a term c x^n e^{itx} of F, with p = m + j and z = q e^{2it}, the sum is
+    Each element is flattened to the rows (m, n, t, c) of its weight-zero
+    terms c x^n e^{itx} of X^m Y^m N_F, in term order, as four columns (a
+    single-band matrix: off-weight monomials are traceless), and
+    ``trace_rows`` contracts them.
+    """
+    ms, ns, ts, cs = [], [], [], []
+    counts = []
+    for a in elements:
+        start = len(cs)
+        for (m, k), f in a.terms:
+            if m == k:
+                powers, freqs, coeffs = zip(*f.terms)
+                ms += [m] * len(coeffs)
+                ns += powers
+                ts += freqs
+                cs += coeffs
+        counts.append(len(cs) - start)
+    return trace_rows(state, (ms, ns, ts, cs), counts)
+
+
+def trace_rows(state: StateSpec, rows, counts) -> np.ndarray:
+    """State values of elements given as rows (m, n, t, c): the terms c x^n e^{itx} of X^m Y^m N_F.
+
+    ``rows`` holds the four columns ms, ns, ts and cs.  Element k owns the
+    next ``counts[k]`` rows; rows need not be merged, as the value is linear
+    in them.  The vacuum part is m1 F(0), the sum of the constant terms.  An
+    atom (lam, w) gives X^m Y^m N_F the value
+    w (1-q) sum_p q^p diag_m(p) F(lam + 2p), q = e^{-beta}.  For a term
+    c x^n e^{itx} of F, with p = m + j and z = q e^{2it}, the sum is
     c e^{it lam} (-z)^m sum_j P(j) z^j for the polynomial P = sum_k b_k C(j, k)
     of ``_ladder_poly``, and sum_j C(j, k) z^j = z^k / (1-z)^{k+1}; so it is
     c e^{it lam} (-z)^m sum_k b_k u^k / (1-z) with u = z / (1-z).  The b_k are
@@ -274,46 +301,38 @@ def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
 
     For F = e^{itx} this is ``chi_closed_form``'s geometric sum.
 
-    The weight-zero terms of all the elements are the entries (m, n) x t of one
-    grid, shared rows and frequencies once, and a single contraction of the
-    tables b against u^k / (1-z) and the atoms' phases fills it.  Each
-    element's entries are summed in its term order, then m1 F(0) is added.
-    Raises ValueError when e^{-beta} rounds to 1 (beta below ~1e-16), and when
-    a value is not finite (an overflow at tiny beta and high degree), naming
-    the first term x^n of X^m Y^m N_F whose entry is not finite.
+    All rows are entries (m, n) x t of one grid, each distinct (m, n) and t
+    once, and a single contraction of the tables b against u^k / (1-z) and the
+    atoms' phases fills it.  Each element's rows are summed in order, then
+    m1 F(0) is added.  Raises ValueError when e^{-beta} rounds to 1 (beta below
+    ~1e-16), and when a value is not finite (an overflow at tiny beta and high
+    degree), naming the first row (m, n) whose entry is not finite.
     """
     q = math.exp(-state.beta)
     if q == 1.0:
         raise ValueError(f"beta must be positive and above ~1e-16, got {state.beta}")
     measure = state.as_measure()
-    rows: dict[tuple[int, int], int] = {}
-    cols: dict[float, int] = {}
-    owners, row_of, col_of, coeffs = [], [], [], []
-    at_zero = []  # F(0) of each element's Cartan part: the sum of its constant terms
-    for index, a in enumerate(elements):
-        constant = 0j
-        for (m, k), f in a.terms:
-            if m != k:
-                continue  # single-band matrix: off-weight monomials are traceless
-            for n, t, c in f.terms:
-                if m + n == 0:
-                    constant += c
-                owners.append(index)
-                row_of.append(rows.setdefault((m, n), len(rows)))
-                col_of.append(cols.setdefault(t, len(cols)))
-                coeffs.append(c)
-        at_zero.append(constant)
-    sums = np.zeros(len(elements), dtype=complex)
-    terms = np.zeros(len(owners), dtype=complex)
+    owners = np.repeat(np.arange(len(counts)), counts)
+    ms, ns, ts, cs = rows
+    ms, ns = np.array(ms, dtype=int), np.array(ns, dtype=int)
+    ts, cs = np.array(ts, dtype=float), np.array(cs, dtype=complex)
+    at_zero = np.zeros(len(counts), dtype=complex)  # F(0) of each Cartan part
+    constant = (ms == 0) & (ns == 0)
+    np.add.at(at_zero, owners[constant], cs[constant])
+    sums = np.zeros(len(counts), dtype=complex)
+    terms = np.zeros(len(cs), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        if measure.atoms and owners:
+        if measure.atoms and cs.size:
             lams, weights = zip(*measure.atoms)
-            tables = [_ladder_poly(lams, m, n) for m, n in rows]
+            span = int(ns.max()) + 1
+            keys, row_of = np.unique(ms * span + ns, return_inverse=True)
+            freqs, col_of = np.unique(ts, return_inverse=True)
+            key_ms, key_ns = np.divmod(keys, span)
+            tables = [_ladder_poly(lams, m, n) for m, n in zip(key_ms.tolist(), key_ns.tolist())]
             widths = np.array([table.shape[1] for table in tables])
-            b = np.zeros((len(rows), len(lams), widths.max()))
+            b = np.zeros((len(keys), len(lams), widths.max()))
             for i, table in enumerate(tables):
                 b[i, :, : table.shape[1]] = table
-            freqs = np.array(list(cols))
             z = q * np.exp(2j * freqs)
             powers = (z / (1.0 - z)) ** np.arange(b.shape[2])[:, None] / (1.0 - z)
             phases = np.exp(1j * np.multiply.outer(lams, freqs))
@@ -322,17 +341,16 @@ def eval_traces(state: StateSpec, elements: list[AlgebraElement]) -> np.ndarray:
             # a shorter row's zero padding must not meet it as 0 x inf = nan.
             overflow = ~np.isfinite(powers)
             spoiled = (np.arange(b.shape[2]) < widths[:, None]).astype(float) @ overflow > 0
-            ms = np.array([m for m, _ in rows])
             contracted = np.einsum("rak,kt,at->rt", b, np.where(overflow, 0.0, powers), phases)
-            contracted = np.where(spoiled, np.inf, contracted * (-z) ** ms[:, None])
-            terms = np.array(coeffs) * contracted[row_of, col_of]
+            contracted = np.where(spoiled, np.inf, contracted * (-z) ** key_ms[:, None])
+            terms = cs * contracted[row_of, col_of]
             np.add.at(sums, owners, terms)
-        values = measure.m1 * np.array(at_zero, dtype=complex) + sums
+        values = measure.m1 * at_zero + sums
     if not np.isfinite(values).all():
         where = "in a sum of finite terms"
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.size:  # a non-finite term spoils its own element's value
-            m, n = list(rows)[row_of[bad[0]]]
+            m, n = ms[bad[0]], ns[bad[0]]
             where = f"at (m, n) = ({m}, {n}), the term x^{n} of X^{m} Y^{m} N_F"
         raise ValueError(f"trace value is not finite at beta={state.beta} {where}")
     return values

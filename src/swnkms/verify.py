@@ -8,13 +8,14 @@ element (``random_element``), so reports are replayable and bit-reproducible
 (the contract is restated at ``kms_check``); a ``dynamics_scale`` hook
 deliberately mis-scales the analytic continuation so the suite can prove the
 checker is able to fail.  Each check, KMS or Gram, evaluates all its traces
-in one ``eval_traces`` call.
+in one ``trace_rows`` call.
 
 Both checks form only the weight-zero part of each product
-(``weight_zero_product``): a covariant state vanishes on every X^m Y^n N_F
+(``weight_zero_rows``): a covariant state vanishes on every X^m Y^n N_F
 with m != n, so the other monomials of AB cannot change a value, and most
 random pairs (85% of the products a verify run forms) have weights that do
-not cancel.
+not cancel.  That part is left as unmerged rows (m, n, t, c) and traced as
+it is: a trace is linear in the terms, so no product is ever canonicalized.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, weight_zero_product
+from .algebra import AlgebraElement, weight_zero_rows
 from .funcspace import FunctionExpr
 from .grammar import format_element
-from .states import CartanMeasure, StateSpec, eval_traces
+from .states import CartanMeasure, StateSpec, trace_rows
 from .states import eval_trace  # noqa: F401  bench/selftest.py wraps it in this namespace
 
 
@@ -85,17 +87,18 @@ def random_function(rng: np.random.Generator) -> FunctionExpr:
     return _function_from(rng.random(FUNCTION_DRAWS).tolist())
 
 
+@lru_cache(maxsize=None)
+def _monomial_keys(max_degree: int) -> tuple[tuple[int, int], ...]:
+    """Every (m, n) with m + n <= max_degree, m major."""
+    return tuple((m, n) for m in range(max_degree + 1) for n in range(max_degree + 1 - m))
+
+
 def random_element(rng: np.random.Generator, max_degree: int) -> AlgebraElement:
     """1-3 monomials X^m Y^n N_F, (m, n) uniform over m + n <= max_degree, F as in
     ``random_function``; one block of ELEMENT_DRAWS uniforms.  An integer uniform
     on 0..k-1 is floor(k u): k u rounds below k for every u < 1.
     """
-    keys = [
-        (m, n)
-        for m in range(max_degree + 1)
-        for n in range(max_degree + 1)
-        if m + n <= max_degree
-    ]
+    keys = _monomial_keys(max_degree)
     u = rng.random(ELEMENT_DRAWS).tolist()
     terms = []
     for i in range(1 + int(3 * u[0])):
@@ -103,6 +106,17 @@ def random_element(rng: np.random.Generator, max_degree: int) -> AlgebraElement:
         terms.append((keys[int(len(keys) * slot[0])], _function_from(slot[1:])))
     el = AlgebraElement(terms)
     return el if not el.is_zero else AlgebraElement.one()
+
+
+def _trace_products(state: StateSpec, factors) -> np.ndarray:
+    """rho of the weight-zero part of a * b for each (a, b), all in one ``trace_rows`` call."""
+    rows, counts = ([], [], [], []), []
+    for a, b in factors:
+        product = weight_zero_rows(a, b)
+        for column, values in zip(rows, product):
+            column += values
+        counts.append(len(product[0]))
+    return trace_rows(state, rows, counts)
 
 
 def kms_check(
@@ -121,12 +135,12 @@ def kms_check(
     ``trials=10`` checks the first ten pairs of ``trials=20``.  (Versions that
     drew each integer and float with its own call gave other pairs per seed.)
     U_{i beta} is ``AlgebraElement.automorphism`` at z = i beta; both sides are
-    traces of the products' weight-zero parts (``weight_zero_product``), all
-    2 x ``trials`` of them in one ``eval_traces`` call.  The worst pair is the
-    first with the largest residual.  ``dynamics_scale`` multiplies beta inside
-    U_{i beta} only (the negative control: scale 2 turns e^{-beta} into
-    e^{-2 beta} and must blow the check).  Raises ValueError when a trace is
-    not finite.
+    traces of the products' weight-zero parts, as unmerged rows
+    (``weight_zero_rows``), all 2 x ``trials`` of them in one ``trace_rows``
+    call.  The worst pair is the first with the largest residual.
+    ``dynamics_scale`` multiplies beta inside U_{i beta} only (the negative
+    control: scale 2 turns e^{-beta} into e^{-2 beta} and must blow the
+    check).  Raises ValueError when a trace is not finite, naming the term.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -137,14 +151,14 @@ def kms_check(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     z = 1j * state.beta * dynamics_scale
-    pairs, products = [], []
+    pairs, factors = [], []
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         a = random_element(rng, max_degree)
         b = random_element(rng, max_degree)
         pairs.append((a, b))
-        products += [weight_zero_product(a, b), weight_zero_product(b, a.automorphism(z))]
-    values = eval_traces(state, products)
+        factors += [(a, b), (b, a.automorphism(z))]
+    values = _trace_products(state, factors)
     lhs, rhs = values[0::2], values[1::2]
     residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
     worst = int(np.argmax(residuals))
@@ -170,15 +184,16 @@ def gram_psd_check(
 ) -> GramResult:
     """Smallest eigenvalue of G_ij = rho(w_i* w_j); pass iff >= -tol (1 + ||G||).
 
-    All k^2 entries are traces of weight-zero products in one ``eval_traces``
-    call; a trace that is not finite raises ValueError.
+    All k^2 entries are traces of the weight-zero parts of w_i* w_j, as
+    unmerged rows (``weight_zero_rows``), in one ``trace_rows`` call; a trace
+    that is not finite raises ValueError.
     """
     if not words:
         raise ValueError("need at least one word")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     stars = [w.star() for w in words]
-    gram = eval_traces(state, [weight_zero_product(wi, wj) for wi in stars for wj in words])
+    gram = _trace_products(state, [(wi, wj) for wi in stars for wj in words])
     gram = gram.reshape(len(words), len(words))
     scale = 1.0 + float(np.max(np.abs(gram)))
     herm_defect = float(np.max(np.abs(gram - gram.conj().T)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -356,11 +357,27 @@ class TestWeightSolve:
         assert len(bvls_calls) == 1
         assert np.array_equal(params, reference)
 
+    def test_step_that_does_not_move_stays_finite(self):
+        # The first main step lands the second weight at -9e-17, past its bound,
+        # and binds it there; the next frees it again, and its re-solved value
+        # equals its current one.  scipy divides by that zero step and returns
+        # [nan, 1, nan].
+        a = np.array([[-0.61, -1.38, 1.34], [0.37, 0.81, 0.47], [-0.71, 0.21, -0.99],
+                      [1e8, 1e8, 1e8]])
+        b = np.array([0.95, 2.4, 5.17, 1e8])
+        x0 = np.linalg.lstsq(a, b, rcond=None)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = recovery.lsq_linear(a, b, x0)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        cost = lambda v: np.sum((a @ v - b) ** 2)  # noqa: E731
+        assert cost(x) <= cost(np.clip(x0, 0.0, 1.0))
+
     @np.errstate(divide="ignore", invalid="ignore")
     def test_random_box_problems_match_scipy(self):
         # Up to 6 columns, some with two equal columns, half with a heavy row
-        # like the mass row.  A few such designs drive both implementations to
-        # the same NaNs (a 0/0 step length), which compare equal here.
+        # like the mass row.  None of these draws is a design on which scipy
+        # returns NaN (see test_step_that_does_not_move_stays_finite).
         rng = np.random.default_rng(19)
         off_the_box = 0
         for _ in range(400):
@@ -377,7 +394,7 @@ class TestWeightSolve:
                 continue
             off_the_box += 1
             reference = lsq_linear(a, b, bounds=(0.0, 1.0), method="bvls").x
-            assert np.array_equal(recovery.lsq_linear(a, b, x0), reference, equal_nan=True)
+            assert np.array_equal(recovery.lsq_linear(a, b, x0), reference)
         assert off_the_box >= 250
 
 

@@ -7,10 +7,12 @@ import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from swnkms import states
-from swnkms.algebra import AlgebraElement, N, X, Y, apply_automorphism, weight_zero_product
+from swnkms.algebra import (
+    AlgebraElement, N, X, Y, apply_automorphism, weight_zero_product, weight_zero_rows,
+)
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
 from swnkms.reps import ladder_diagonal
 from swnkms.states import (
@@ -27,6 +29,7 @@ from swnkms.states import (
     neg_polylogs,
     state_from_dict,
     state_to_dict,
+    trace_rows,
 )
 from swnkms.verify import random_element
 
@@ -299,6 +302,26 @@ def loop_trace(state, a):
         sides.append((np.einsum("rak,kt,at->rt", b, powers, phases) * (-z) ** ms).tolist())
     value = total + sum(c * sides[0][i][j] for i, j, c in entries)
     return value, scale + sum(abs(c) * abs(sides[1][i][j]) for i, j, c in entries)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 2.0), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_trace_rows_match_canonical_product(seed, beta, degree):
+    """Unmerged product rows trace to the value of their canonical form.
+
+    The bound is 1e-14 of the rows' absolute sum: sum |c| times each row's
+    ladder sum of absolute values (``loop_trace``'s scale of X^m Y^m N[x^n]).
+    """
+    rng = np.random.default_rng(seed)
+    state = random_mixture(rng, beta)
+    a, b = random_element(rng, degree), random_element(rng, degree)
+    rows = weight_zero_rows(a, b)
+    got = trace_rows(state, rows, [len(rows[0])])
+    expected = eval_traces(state, [weight_zero_product(a, b)])
+    scale = sum(abs(c) * loop_trace(state, X**m * Y**m * N(FunctionExpr.x_power(n)))[1]
+                for m, n, _, c in zip(*rows))
+    assert got.shape == (1,)
+    assert abs(got[0] - expected[0]) <= 1e-14 * scale
 
 
 TINY_BETA = 1e-15

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swnkms import algebra, states, verify
-from swnkms.algebra import AlgebraElement, N, X, Y, weight_zero_product
+from swnkms.algebra import AlgebraElement, N, X, Y, weight_zero_product, weight_zero_rows
 from swnkms.funcspace import X_VAR, FunctionExpr
 from swnkms.grammar import format_element
 from swnkms.states import CartanMeasure, SpectralMeasure, StateSpec
@@ -97,15 +97,25 @@ class TestKmsCheck:
         assert drawn == []
 
     def test_non_finite_trace_raises(self):
-        """One of these 40 pairs has traces that overflow; a nan residual once passed the check."""
+        """One of these 40 pairs has traces that overflow; a nan residual once passed the check.
+
+        The products are traced as unmerged rows; the first non-finite row names its term.
+        """
+        message = r"not finite at beta=1e-15 at \(m, n\) = \(7, 5\), the term x\^5 of X\^7 Y\^7 N_F"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not finite at beta=1e-15"):
+            with pytest.raises(ValueError, match=message):
                 kms_check(StateSpec.gibbs(1.5, 1e-15), max_degree=12, trials=40, seed=3)
+
+    def test_sabotaged_residual_is_pinned(self):
+        # recorded when the checks traced canonical products; rows move it only by rounding
+        state = StateSpec.gibbs(1.5, 1.0)
+        report = kms_check(state, max_degree=4, trials=50, seed=42, dynamics_scale=2.0)
+        assert report.max_residual == pytest.approx(19.076255073831753, rel=1e-12)
 
 
 def loop_kms(state, max_degree, trials, seed, dynamics_scale=1.0):
-    """kms_check pair by pair, two eval_trace calls each: (pairs, largest residual, worst index).
+    """kms_check pair by pair, one trace_rows call each: (pairs, largest residual, worst index).
 
     The worst index is the first pair whose residual beats every earlier one,
     and None when every residual is 0.
@@ -116,8 +126,9 @@ def loop_kms(state, max_degree, trials, seed, dynamics_scale=1.0):
         rng = np.random.default_rng([seed, index])
         a = random_element(rng, max_degree)
         b = random_element(rng, max_degree)
-        lhs = states.eval_trace(state, weight_zero_product(a, b))
-        rhs = states.eval_trace(state, weight_zero_product(b, a.automorphism(z)))
+        left, right = weight_zero_rows(a, b), weight_zero_rows(b, a.automorphism(z))
+        rows = [l_column + r_column for l_column, r_column in zip(left, right)]
+        lhs, rhs = states.trace_rows(state, rows, [len(left[0]), len(right[0])])
         pairs.append((a, b))
         residual = abs(lhs - rhs) / (1.0 + abs(lhs))
         if residual > max_residual:
@@ -126,7 +137,7 @@ def loop_kms(state, max_degree, trials, seed, dynamics_scale=1.0):
 
 
 class TestBatchedChecks:
-    """One eval_traces call per check, equal to the per-pair and per-entry loops."""
+    """One trace_rows call per check, equal to the per-pair and per-entry loops."""
 
     @pytest.mark.parametrize("state", STATES)
     @pytest.mark.parametrize("dynamics_scale", [1.0, 2.0])
@@ -149,14 +160,17 @@ class TestBatchedChecks:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"eval_traces": [], "eval_trace": []}
-        original = states.eval_traces
+        """Each trace_rows call's rows, split into one list of (m, n, t, c) per element."""
+        seen = {"trace_rows": [], "eval_trace": []}
+        original = states.trace_rows
 
-        def batched(state, elements):
-            seen["eval_traces"].append(list(elements))
-            return original(state, elements)
+        def batched(state, rows, counts):
+            ends = np.cumsum(counts).tolist()
+            table = list(zip(*rows))
+            seen["trace_rows"].append([table[end - n : end] for n, end in zip(counts, ends)])
+            return original(state, rows, counts)
 
-        monkeypatch.setattr(verify, "eval_traces", batched)
+        monkeypatch.setattr(verify, "trace_rows", batched)
         for module in (states, verify):
             monkeypatch.setattr(module, "eval_trace", lambda state, a: seen["eval_trace"].append(a))
         return seen
@@ -164,16 +178,16 @@ class TestBatchedChecks:
     def test_one_contraction_per_check(self, calls):
         state = StateSpec.mixture(SpectralMeasure(0.3, ((1.0, 0.4), (2.7, 0.3))), LN2)
         kms_check(state, max_degree=4, trials=25, seed=8)
-        assert [len(batch) for batch in calls["eval_traces"]] == [50]
+        assert [len(batch) for batch in calls["trace_rows"]] == [50]
         gram_psd_check(state, WORDS)
-        assert [len(batch) for batch in calls["eval_traces"]] == [50, len(WORDS) ** 2]
+        assert [len(batch) for batch in calls["trace_rows"]] == [50, len(WORDS) ** 2]
         assert calls["eval_trace"] == []
 
     def test_fewer_trials_check_a_prefix(self, calls):
         state = StateSpec.gibbs(1.5, 1.0)
         kms_check(state, max_degree=3, trials=10, seed=21)
         kms_check(state, max_degree=3, trials=20, seed=21)
-        short, long = calls["eval_traces"]
+        short, long = calls["trace_rows"]
         assert short == long[:20]
 
 
@@ -272,11 +286,30 @@ class TestRandomElements:
             assert el.total_degree <= 4
             assert not el.is_zero
 
+    def test_draws_are_pinned(self):
+        drawn = [format_element(random_element(np.random.default_rng([7, k]), 4)) for k in range(3)]
+        assert drawn == PINNED_DRAWS
+
     def test_reproducible(self):
         a = random_element(np.random.default_rng(5), 3)
         b = random_element(np.random.default_rng(5), 3)
         assert a == b
 
+
+# random_element(default_rng([7, k]), 4) for k = 0, 1, 2, as drawn when the key
+# list was rebuilt on every draw
+PINNED_DRAWS = [
+    "X Y N[(-0.9121159840772333-0.9286394424528077i)*exp(0.22507920854606156)"
+    " + (0.24435845888232532+0.9779202953637698i)*x]"
+    " + X^3 Y N[(-0.9894693908688506+0.6424568367655326i)*exp(0.7471068907925238)"
+    " + (-0.44314877579845335-0.4902608246917508i)*x^2*exp(-0.39393514636137295)]",
+    "(0.6372710665310553+0.9531128345861433i) N[exp(-0.8954354646093112)]"
+    " + (0.9856531805608211-0.38723751233407566i) Y N[exp(0.0034569430057009853)]"
+    " + X^3 Y N[(-0.22856338923035002-0.7426550228683548i)*x"
+    " + (-0.5811034446513395+0.35219273318054833i)*x*exp(0.04276709329514072)]",
+    "X Y N[(-0.6371862420915171+0.05724001112256594i)"
+    " + (-0.7261908133434118-0.19856658264469096i)*x^2*exp(-0.4412522389551756)]",
+]
 
 WORDS = [
     AlgebraElement.one(),
@@ -304,6 +337,12 @@ class TestGramPsd:
         result = gram_psd_check(StateSpec.gibbs(1.0, LN2), [AlgebraElement.one(), X])
         assert result.passed
         assert result.min_eigenvalue == pytest.approx(1.0)
+
+    def test_min_eigenvalue_is_pinned(self):
+        # recorded when the check traced canonical products; rows move it only by rounding
+        words = [AlgebraElement.one(), X, Y, X * Y, N(X_VAR), X * N(X_VAR), CUBE]
+        result = gram_psd_check(StateSpec.gibbs(1.5, 1.0), words)
+        assert result.min_eigenvalue == pytest.approx(0.12482018873328025, rel=1e-12)
 
     def test_unit_word(self):
         result = gram_psd_check(StateSpec.gibbs(2.0, 1.0), [AlgebraElement.one()])
