@@ -69,6 +69,11 @@ try:
 except NotExtendable as err:
     print("perturbed ladder ->", err)
 
+# On this uniform grid chi/g of any fit with at most 5 atoms is a sum of at
+# most 7 exponentials (the atoms and m1's nodes at 0 and 2), so its Hankel
+# matrix has rank 7 at most.  The 8th singular value of the Gaussian's Hankel
+# matrix then bounds the rms residual of every such fit from below, whatever
+# its weights, and the rejection needs no fit at all.
 gaussian = [(float(t), complex(math.exp(-t * t))) for t in ts]
 try:
     chi_fit(gaussian, beta, max_atoms=5)

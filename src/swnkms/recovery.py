@@ -12,7 +12,11 @@ Two independent routes:
 * ``chi_fit`` works in the frequency domain.  chi(t) = m1 + g(t) sum_k w_k
   e^{it lam_k} with g(t) = (1-q)/(1-q e^{2it}); multiplying samples by
   1/g(t) turns them into the exponential sum m1/(1-q) - (m1 q/(1-q)) e^{2it}
-  + sum_k w_k e^{it lam_k}.  A matrix-pencil solve (Hua & Sarkar 1990) seeds
+  + sum_k w_k e^{it lam_k}.  On an exactly uniform grid the singular values
+  of its Hankel matrix come first: a fit has at most max_atoms + 2 nodes,
+  so the next singular value bounds every fit's residual from below (Weyl's
+  inequality), and data whose bound exceeds tol is rejected with no fit at
+  all.  Otherwise a matrix-pencil solve (Hua & Sarkar 1990) on that SVD seeds
   its nodes of positive amplitude on a uniform grid, the periodogram on any
   other grid or when the pencil fit misses tol.  Each seed gets one
   variable-projection polish (Golub & Pereyra 1973) over one bounded weight
@@ -157,20 +161,47 @@ def _geometric_factor(ts: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - q) / (1.0 - q * np.exp(2j * ts))
 
 
-def _pencil_nodes(ts: np.ndarray, values: np.ndarray, max_nodes: int) -> np.ndarray:
-    """Frequencies of the exponential sum values[j] = sum c_k e^{i f_k t_j}."""
-    dt = ts[1] - ts[0]
+def _hankel_svd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of the pencil's Hankel matrix.
+
+    Row j of the matrix is values[j : j + p + 1], for j < len(values) - p
+    and p = len(values) // 2.
+    """
     length = len(values)
     p = length // 2
-    if p < 2 or length - p < 2:
-        return np.array([])
     h = values[np.add.outer(np.arange(length - p), np.arange(p + 1))]
     _, s, vh = np.linalg.svd(h)
     # in Fortran order, as scipy.linalg.svd returns it: laid out in C order,
-    # w1 makes the product w0^+ w1 below round differently in the last bit
-    vh = np.asfortranarray(vh)
+    # w1 in _pencil_nodes makes the product w0^+ w1 round differently in the last bit
+    return s, np.asfortranarray(vh)
+
+
+def _pencil_rms_floor(ts: np.ndarray, geom: np.ndarray, s: np.ndarray, nodes: int) -> float:
+    """A lower bound on the rms residual of every chi fit with at most ``nodes`` nodes in chi/g.
+
+    s holds the singular values of the Hankel matrix of chi/g; the bound is
+    derived in ``chi_fit``.  Returns 0 where nothing is proved: on a grid
+    whose times stray from t_0 + j dt by more than rounding, where a fit's
+    samples are not geometric, or with no singular value past ``nodes``.
+    """
+    eps = np.finfo(float).eps
+    length = ts.size
+    # np.linspace gives exactly this grid but for the rounding of its last point
+    grid = ts[0] + (ts[-1] - ts[0]) / (length - 1) * np.arange(length)
+    if nodes >= s.size or np.max(np.abs(ts - grid)) > 4.0 * eps * np.max(np.abs(ts)):
+        return 0.0
+    # forming chi/g and the SVD's backward error each cost a few eps of |H| <= sqrt(p + 1) s[0]
+    sigma = s[nodes] - length * eps * s[0]
+    return max(sigma, 0.0) * float(np.min(np.abs(geom))) / math.sqrt(s.size * length)
+
+
+def _pencil_nodes(s: np.ndarray, vh: np.ndarray, dt: float, max_nodes: int) -> np.ndarray:
+    """Frequencies of the exponential sum values[j] = sum c_k e^{i f_k j dt}.
+
+    s and vh are ``_hankel_svd(values)``.
+    """
     rank = int(np.sum(s > PENCIL_RANK_CUT * s[0]))
-    rank = max(1, min(rank, max_nodes, vh.shape[0], p))
+    rank = max(1, min(rank, max_nodes, vh.shape[0] - 1))
     w0 = vh[:rank, :-1]
     w1 = vh[:rank, 1:]
     # pseudo-inverse of w0.T, cut where scipy.linalg.pinv cuts the rank
@@ -446,6 +477,20 @@ def chi_fit(
 ) -> RecoveryResult:
     """Fit sampled chi(t) to m1 + g(t) sum w_k e^{it lam_k}; recover the measure.
 
+    On a grid of N times within rounding of t_0 + j dt, the SVD of the
+    (N - p) x (p + 1) Hankel matrix of chi/g, p = N // 2, is read first.
+    chi/g of any fit is a sum of at most r = max_atoms + 2 exponentials (m1
+    adds the nodes 0 and 2), so its Hankel matrix has rank at most r.  A fit
+    of rms e differs from the data by at most e / min|g| per sample in chi/g,
+    so the two Hankel matrices differ by at most sqrt(min(N - p, p + 1) N)
+    e / min|g| in Frobenius norm, and by Weyl's inequality every such fit
+    leaves rms >= sigma_{r+1} min|g| / sqrt(min(N - p, p + 1) N), less a
+    rounding margin.  When that bound exceeds tol, NotExtendable is raised
+    before any fit.  The bound holds for complex amplitudes too, so it does
+    not depend on the [0, 1] box or MASS_SLACK.  On any other grid,
+    including one that ``_is_uniform`` accepts within its 1e-9 jitter,
+    nothing is proved this way and the fits below decide.
+
     The matrix pencil of chi/g seeds the atoms on a uniform grid; its
     periodogram seeds them on any other grid or when the pencil fit misses
     tol, and the better fit wins.  An atom's amplitude in chi/g is its
@@ -460,8 +505,10 @@ def chi_fit(
     Raises ValueError on a beta that is not finite or whose e^{-beta} rounds
     to 1 (below ~1e-16), a tol that is not positive and finite, a negative
     max_atoms, fewer than 2 max_atoms + 1 distinct sample times or non-finite
-    samples; NotExtendable when the root-mean-square residual over the
-    samples exceeds tol (chi is not of the admissible form); IllPosed when
+    samples; NotExtendable when the singular-value bound proves that no fit
+    with at most max_atoms atoms reaches tol (its message names the bound),
+    or when the best fit's root-mean-square residual over the samples
+    exceeds tol (chi is not of the admissible form); IllPosed when
     two recovered atoms sit closer than ``separation``.
     """
     q = _ladder_ratio(beta)
@@ -498,12 +545,23 @@ def chi_fit(
         return lams, params[0], params[1:], rms
 
     best = None
+    values = chis / geom
     if _is_uniform(ts):
-        nodes = _pencil_nodes(ts, chis / geom, max_atoms + 2)
-        amps = np.linalg.lstsq(np.exp(1j * np.outer(ts, nodes)), chis / geom, rcond=None)[0]
+        s, vh = _hankel_svd(values)
+        # chi/g of a fit has the nodes 0 and 2 of m1 besides its atoms
+        floor = _pencil_rms_floor(ts, geom, s, max_atoms + 2)
+        if floor > tol:
+            # shrunk by more than .3e rounds, so the printed bound still holds
+            raise NotExtendable(
+                f"no fit with at most {max_atoms} atoms reaches tol {tol:.3e}: every one "
+                f"leaves rms >= {floor * (1.0 - 1e-3):.3e} "
+                f"(pencil singular value {max_atoms + 3})"
+            )
+        nodes = _pencil_nodes(s, vh, ts[1] - ts[0], max_atoms + 2)
+        amps = np.linalg.lstsq(np.exp(1j * np.outer(ts, nodes)), values, rcond=None)[0]
         best = evaluate(np.sort(nodes[(nodes > ATOM_SEPARATION) & (amps.real > 0)]))
     if best is None or not best[3] <= tol:
-        cand = evaluate(_periodogram_peaks(ts, chis / geom, max_atoms + 2))
+        cand = evaluate(_periodogram_peaks(ts, values, max_atoms + 2))
         if best is None or cand[3] < best[3]:
             best = cand
 

@@ -219,7 +219,9 @@ class TestLazyRecoveryImport:
     def test_chi_fit_runs_without_scipy(self, tmp_path):
         # With scipy blocked, so that importing any part of it raises, chi_fit
         # accepts in the box, falls back to BVLS off it and rejects a Gaussian,
-        # and ``recover --chi`` runs; no scipy module is loaded afterwards.
+        # and ``recover --chi`` runs; no scipy module is loaded afterwards.  The
+        # negative atom makes five nodes in chi/g: at 2 atoms the pencil's
+        # singular values reject it before any weight solve, at 3 BVLS runs.
         ts = np.linspace(-10.0, 10.0, 101)
         state = StateSpec.mixture(SpectralMeasure(0.2, [(1.3, 0.3), (3.7, 0.5)]), 1.0)
         chi_path, out_path = tmp_path / "chi.csv", tmp_path / "recovered.json"
@@ -242,9 +244,9 @@ class TestLazyRecoveryImport:
             geom = recovery._geometric_factor(ts, math.exp(-1.0))
             negative = chis - 0.05 * geom * np.exp(5j * ts)
             gaussian = np.exp(-ts * ts).astype(complex)
-            for chi in (chis, negative, gaussian):
+            for chi, max_atoms in ((chis, 2), (negative, 3), (gaussian, 2)):
                 try:
-                    recovery.chi_fit(list(zip(ts, chi)), 1.0, 2)
+                    recovery.chi_fit(list(zip(ts, chi)), 1.0, max_atoms)
                     print("accepted", len(calls) > 0)
                 except recovery.NotExtendable:
                     print("rejected", len(calls) > 0)
@@ -487,6 +489,19 @@ class TestRecover:
         result = run_cli("recover", "--chi", str(empty), "--beta", "1.0", "--max-atoms", "-1")
         assert result.returncode == 2
         assert result.stdout == ""
+
+    def test_gaussian_chi_exits_1_with_the_bound(self, tmp_path):
+        # on a uniform grid the pencil's singular values prove the rejection
+        chi_path = tmp_path / "gauss.csv"
+        rows = ["t,re_chi,im_chi"]
+        rows += [f"{float(t)!r},{math.exp(-t * t)!r},0.0" for t in np.linspace(-10, 10, 101)]
+        chi_path.write_text("\n".join(rows) + "\n")
+        args = ("recover", "--chi", str(chi_path), "--beta", "1.0", "--max-atoms", "2")
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == 1
+        assert first.stdout == ""
+        assert first.stderr.startswith("NotExtendable: no fit with at most 2 atoms")
+        assert (second.returncode, second.stdout, second.stderr) == (1, "", first.stderr)
 
     def test_non_finite_chi_row_exits_2(self, tmp_path):
         chi_path = tmp_path / "chi.csv"

@@ -243,7 +243,7 @@ class TestChiFitInputs:
         def refuse(*args, **kwargs):
             raise AssertionError("a solver ran on invalid input")
 
-        for name in ("_polish", "lsq_linear", "_pencil_nodes"):
+        for name in ("_polish", "lsq_linear", "_hankel_svd", "_pencil_nodes"):
             monkeypatch.setattr(recovery, name, refuse)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -413,7 +413,8 @@ def test_pencil_nodes_match_scipy_bit_for_bit(length):
         rank = max(1, min(int(np.sum(s > recovery.PENCIL_RANK_CUT * s[0])), max_nodes, p))
         z = np.linalg.eigvals(pinv(vh[:rank, :-1].T) @ vh[:rank, 1:].T)
         reference = np.sort(np.angle(z) / (ts[1] - ts[0]))
-        assert np.array_equal(recovery._pencil_nodes(ts, values, max_nodes), reference)
+        s, vh = recovery._hankel_svd(values)
+        assert np.array_equal(recovery._pencil_nodes(s, vh, ts[1] - ts[0], max_nodes), reference)
 
 
 class TestProjectionJacobian:
@@ -534,15 +535,22 @@ class TestChiFitPipeline:
         monkeypatch.setattr(recovery, "_polish", counted)
         return calls
 
+    @staticmethod
+    def nonuniform_gaussian_samples():
+        # on a uniform grid the pencil's singular values reject a Gaussian
+        # before any polish; on this grid the periodogram seeds 6 atoms and the
+        # 5 kept are polished again
+        ts = np.sort(np.random.default_rng(5).uniform(-10, 10, 101))
+        return [(float(t), complex(math.exp(-t * t))) for t in ts]
+
     def test_gaussian_rejection_polishes_at_most_twice(self, polishes):
-        with pytest.raises(NotExtendable):
-            chi_fit(gaussian_samples(), 1.0, max_atoms=5)
+        with pytest.raises(NotExtendable, match="best chi-fit residual"):
+            chi_fit(self.nonuniform_gaussian_samples(), 1.0, max_atoms=5)
         assert len(polishes) <= 2
 
     def test_gaussian_rejection_solve_count(self, monkeypatch):
-        # finite differences cost 270 weight solves for this rejection and
-        # Gauss-Newton with the analytic Jacobian 119; the Newton polish takes
-        # 17, and the bound leaves 3 to spare
+        # the Newton polish takes 20 weight solves for this rejection, and the
+        # bound leaves 3 to spare
         calls = []
         solve = recovery._solve_weights
 
@@ -551,9 +559,24 @@ class TestChiFitPipeline:
             return solve(*args)
 
         monkeypatch.setattr(recovery, "_solve_weights", counted)
-        with pytest.raises(NotExtendable):
-            chi_fit(gaussian_samples(), 1.0, max_atoms=5)
-        assert len(calls) <= 20
+        with pytest.raises(NotExtendable, match="best chi-fit residual"):
+            chi_fit(self.nonuniform_gaussian_samples(), 1.0, max_atoms=5)
+        assert len(calls) <= 23
+
+    @pytest.mark.parametrize("grid", ["jittered", "nonuniform"])
+    def test_inexact_grid_takes_the_polish_path(self, polishes, grid):
+        # 1e-12 of jitter passes as uniform for the pencil, but the fit's samples
+        # are then not geometric to rounding, so the singular values prove nothing
+        rng = np.random.default_rng(11)
+        if grid == "jittered":
+            ts = np.linspace(-10, 10, 101) + 1e-12 * rng.standard_normal(101)
+            assert recovery._is_uniform(ts)
+        else:
+            ts = np.sort(rng.uniform(-10, 10, 101))
+        samples = [(float(t), complex(math.exp(-t * t))) for t in ts]
+        with pytest.raises(NotExtendable, match="best chi-fit residual"):
+            chi_fit(samples, 1.0, max_atoms=2)
+        assert len(polishes) >= 1
 
     def test_uniform_accept_polishes_at_most_twice(self, polishes):
         state = StateSpec.gibbs(2.0, 1.0)
@@ -633,6 +656,103 @@ class TestChiFitPipeline:
         result = chi_fit(list(zip(ts, chis)), 0.6, max_atoms=2, tol=1e-3)
         assert len(result.measure.atoms) == 2
         assert measure_error(result.measure, measure) <= 1e-3
+
+
+class TestRankCertificate:
+    """Hankel singular values of chi/g on an exactly uniform grid reject data that no
+    fit with at most max_atoms atoms reaches, before any polish, and never admissible data."""
+
+    MESSAGE = "no fit with at most"
+
+    @staticmethod
+    def bound(ts, chis, beta, max_atoms):
+        """sigma_{r+1} min|g| / sqrt(min(rows, columns) N), r = max_atoms + 2, from scipy's SVD."""
+        geom = recovery._geometric_factor(ts, math.exp(-beta))
+        values = chis / geom
+        length, p = ts.size, ts.size // 2
+        s = svd(hankel(values[: length - p], values[length - p - 1 :]), compute_uv=False)
+        return s[max_atoms + 2] * np.abs(geom).min() / math.sqrt(min(length - p, p + 1) * length)
+
+    @pytest.fixture
+    def no_polish(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polish or weight solve ran")
+
+        for name in ("_polish", "_solve_weights"):
+            monkeypatch.setattr(recovery, name, refuse)
+
+    def test_never_fires_on_admissible_data(self):
+        # complex noise scaled so that the true measure's rms is 0.99 tol: a fit
+        # with max_atoms atoms reaches tol, so the bound must stay below it
+        rng = np.random.default_rng(2101)
+        for _ in range(60):
+            count = int(rng.integers(1, 6))
+            m1 = float(rng.uniform(0.0, 0.5))
+            beta = float(rng.uniform(0.05, 3.0))
+            tol = float(rng.choice([1e-9, 1e-6, 1e-3]))
+            length = int(rng.integers(21, 202))
+            ts = np.linspace(-rng.uniform(5.0, 20.0), rng.uniform(5.0, 20.0), length)
+            ws = (1.0 - m1) * rng.dirichlet(np.ones(count))
+            measure = SpectralMeasure(m1, tuple(zip(rng.uniform(0.2, 10.0, count), ws)))
+            exact = chi_closed_form(StateSpec.mixture(measure, beta), ts)
+            noise = rng.standard_normal(ts.size) + 1j * rng.standard_normal(ts.size)
+            noise *= 0.99 * tol / np.sqrt(np.mean(np.abs(noise) ** 2))
+            chis = exact + noise
+            rms = np.sqrt(np.mean(np.abs(chis - exact) ** 2))
+            geom = recovery._geometric_factor(ts, math.exp(-beta))
+            s = recovery._hankel_svd(chis / geom)[0]
+            floor = recovery._pencil_rms_floor(ts, geom, s, count + 2)
+            assert 0.0 < floor <= rms
+            try:
+                chi_fit(list(zip(ts, chis)), beta, max_atoms=count, tol=tol)
+            except (NotExtendable, IllPosed) as exc:
+                assert not str(exc).startswith(self.MESSAGE)
+
+    @pytest.mark.parametrize("kind", ["gauss", "expabs"])
+    def test_fires_before_any_polish(self, no_polish, kind):
+        # the recover benchmark's rejections: every width with every beta
+        ts = np.linspace(-10.0, 10.0, 101)
+        for scale in (0.5, 0.833, 1.167, 1.5):
+            shape = 0.5 * (scale * ts) ** 2 if kind == "gauss" else scale * np.abs(ts)
+            samples = list(zip(ts, np.exp(-shape).astype(complex)))
+            for beta in (0.5, 1.0, 1.5, 2.0):
+                with pytest.raises(NotExtendable, match=r"^no fit with at most 2 atoms reaches"):
+                    chi_fit(samples, beta, max_atoms=2)
+
+    def test_fires_on_gaussian_at_five_atoms(self, no_polish):
+        with pytest.raises(NotExtendable) as info:
+            chi_fit(gaussian_samples(), 1.0, max_atoms=5)
+        message = str(info.value)
+        assert message.startswith("no fit with at most 5 atoms reaches tol 1.000e-06: every one")
+        assert message.endswith("(pencil singular value 8)")
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_bound_is_pinned(self, side):
+        # three atoms and m1 make five nodes in chi/g, one more than a 2-atom fit
+        # has; scaled so that the bound sits just above or just below tol
+        ts = np.linspace(-10.0, 10.0, 101)
+        measure = SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.3), (5.1, 0.2)))
+        chis = chi_closed_form(StateSpec.mixture(measure, 1.0), ts)
+        tol = 1e-6
+        chis *= tol * side / self.bound(ts, chis, 1.0, 2)
+        message = ""
+        try:
+            chi_fit(list(zip(ts, chis)), 1.0, max_atoms=2, tol=tol)
+        except NotExtendable as exc:
+            message = str(exc)
+        assert message.startswith(self.MESSAGE) == (side > 1.0)
+        if side > 1.0:
+            printed = float(message.split("rms >= ")[1].split()[0])
+            assert tol * (1.0 - 2e-3) <= printed <= tol * side
+
+    def test_fewer_singular_values_than_nodes_proves_nothing(self):
+        # 21 samples give an 11 x 11 Hankel matrix: no sigma_12 for 11 nodes (9 atoms)
+        ts = np.linspace(-10.0, 10.0, 21)
+        geom = recovery._geometric_factor(ts, math.exp(-1.0))
+        s = recovery._hankel_svd(np.exp(-ts * ts) / geom)[0]
+        assert s.size == 11
+        assert recovery._pencil_rms_floor(ts, geom, s, 11) == 0.0
+        assert recovery._pencil_rms_floor(ts, geom, s, 10) > 0.0
 
 
 class TestRoutesAgree:
