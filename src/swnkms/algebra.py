@@ -18,7 +18,9 @@ choice); ``AlgebraElement`` multiplication uses the memoized closed-form
 reordering of Y^n X^m plus the Cartan shift bookkeeping, which gives the same
 canonical forms.  Monomial products are formed on unmerged term lists and
 canonicalized once per output monomial; ``weight_zero_rows`` hands the
-weight-zero part of a product, unmerged, to the trace evaluator.
+weight-zero part of a product, unmerged, to the trace evaluator, and
+``add_weight_zero_rows`` forms it from plain term tuples, for callers that
+hold no elements.
 """
 
 from __future__ import annotations
@@ -155,11 +157,19 @@ class AlgebraElement:
 
         On a normal-ordered monomial,
         (X^m Y^n N_F)* = (-1)^{m+n} X^n Y^m N_{T_{2(m-n)} F*}.
+        Each monomial is one pass: its terms are conjugated with the sign
+        folded in, translated and canonicalized once.  Negation is exact, and
+        ``shift_terms`` meets the terms of each frequency in the same order
+        of power as after ``conjugate``, so for finite coefficients this equals
+        ``f.conjugate().shift(2 (m - n)) * (-1) ** (m + n)`` bit for bit.
         """
         out = []
         for (m, n), f in self.terms:
-            g = f.conjugate().shift(SHIFT_STEP * (m - n))
-            out.append(((n, m), g * (-1.0) ** (m + n)))
+            if (m + n) % 2:
+                conj = [(p, -t, complex(-c.real, c.imag)) for p, t, c in f.terms]
+            else:
+                conj = [(p, -t, c.conjugate()) for p, t, c in f.terms]
+            out.append(((n, m), FunctionExpr(shift_terms(conj, SHIFT_STEP * (m - n)))))
         return AlgebraElement(out)
 
     def automorphism(self, z: complex) -> "AlgebraElement":
@@ -244,22 +254,38 @@ def weight_zero_rows(a: AlgebraElement, b: AlgebraElement) -> tuple[list, list, 
     Row i is the term cs[i] x^ns[i] e^{i ts[i] x} of the Cartan factor of
     X^m Y^m, m = ms[i]; rows with equal (m, n, t) are not merged, so their sum
     is the part's value under any linear functional.  Columns of plain
-    numbers leave no object per row for the garbage collector to scan.  A
-    product of monomials has the sum of their weights m - n, so only the
-    pairs whose weights cancel are multiplied: they are the only part of
-    a * b a covariant state can see.
+    numbers leave no object per row for the garbage collector to scan.
     """
-    ms, ns, ts, cs = [], [], [], []
-    for (m1, n1), f1 in a.terms:
-        for (m2, n2), f2 in b.terms:
+    rows = ([], [], [], [])
+    add_weight_zero_rows(rows, term_tuples(a), term_tuples(b))
+    return rows
+
+
+def term_tuples(a: AlgebraElement) -> tuple:
+    """``a.terms`` with each Cartan factor given by its terms: ((m, n), ((p, t, c), ...)), ..."""
+    return tuple((key, f.terms) for key, f in a.terms)
+
+
+def add_weight_zero_rows(rows, a, b) -> int:
+    """Append the rows of ``weight_zero_rows`` for a * b to ``rows``; returns how many.
+
+    ``a`` and ``b`` are canonical elements as ``term_tuples``, so callers that
+    draw elements as plain numbers never build one.  A product of monomials
+    has the sum of their weights m - n, so only the pairs whose weights cancel
+    are multiplied: they are the only part of a * b a covariant state can see.
+    """
+    ms, ns, ts, cs = rows
+    start = len(ms)
+    for (m1, n1), f1 in a:
+        for (m2, n2), f2 in b:
             if m1 - n1 == n2 - m2:
-                for (m, _), g in _monomial_product(m1, n1, f1.terms, m2, n2, f2.terms):
+                for (m, _), g in _monomial_product(m1, n1, f1, m2, n2, f2):
                     powers, freqs, coeffs = zip(*g)
                     ms += [m] * len(g)
                     ns += powers
                     ts += freqs
                     cs += coeffs
-    return ms, ns, ts, cs
+    return len(ms) - start
 
 
 def weight_zero_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

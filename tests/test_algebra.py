@@ -19,6 +19,7 @@ from swnkms.algebra import (
     commutator,
     from_swn_basis,
     reduce_word,
+    term_tuples,
     to_swn_basis,
     weight_zero_product,
     word_of,
@@ -92,6 +93,20 @@ class TestInvolution:
         for _ in range(20):
             a, b = random_element(rng), random_element(rng)
             assert (a * b).star().isclose(b.star() * a.star(), 1e-12)
+
+    def test_one_pass_equals_three_steps(self):
+        """``star`` is conjugate, shift, then sign, bit for bit: terms that the
+        shift merges meet in the same order (products and (X+Y+H)^k carry many)."""
+        rng = np.random.default_rng(5)
+        elements = [verify.random_element(rng, degree) for degree in range(7) for _ in range(40)]
+        elements += [random_element(rng, 3, 3) * random_element(rng, 3, 3) for _ in range(40)]
+        elements += [(X + Y + H) ** k for k in range(1, 6)] + [AlgebraElement.zero()]
+        for a in elements:
+            three_steps = AlgebraElement([
+                ((n, m), f.conjugate().shift(2.0 * (m - n)) * (-1.0) ** (m + n))
+                for (m, n), f in a.terms
+            ])
+            assert repr(term_tuples(a.star())) == repr(term_tuples(three_steps))
 
 
 class TestAutomorphism:

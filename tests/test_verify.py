@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from swnkms import algebra, states, verify
-from swnkms.algebra import AlgebraElement, N, X, Y, weight_zero_product, weight_zero_rows
+from swnkms.algebra import (
+    AlgebraElement, N, X, Y, term_tuples, weight_zero_product, weight_zero_rows,
+)
 from swnkms.funcspace import X_VAR, FunctionExpr
 from swnkms.grammar import format_element
 from swnkms.states import CartanMeasure, SpectralMeasure, StateSpec
@@ -89,12 +91,31 @@ class TestKmsCheck:
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             kms_check(StateSpec.gibbs(1.0, 1.0), max_degree=-1)
 
-    def test_rejects_negative_seed(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(verify, "random_element", lambda *args: drawn.append(args))
+    def test_draws_one_generator_per_pair(self, draws):
+        # what the guards below assert is absent: one default_rng([seed, k]) per pair
+        kms_check(StateSpec.gibbs(1.0, 1.0), max_degree=2, trials=3, seed=4)
+        assert draws == [[4, 0], [4, 1], [4, 2]]
+
+    def test_rejects_negative_seed(self, draws):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             kms_check(StateSpec.gibbs(1.0, 1.0), seed=-1)
-        assert drawn == []
+        assert draws == []
+
+    @pytest.mark.parametrize("argument, value", [
+        ("dynamics_scale", math.nan), ("dynamics_scale", math.inf), ("dynamics_scale", -math.inf),
+        ("max_degree", 2.5), ("trials", 3.0), ("seed", 1.5), ("seed", "1"),
+    ])
+    def test_rejects_bad_argument_before_drawing(self, draws, argument, value):
+        """A non-finite scale once surfaced as a trace "not finite at beta=1.0",
+        and a float count as a TypeError."""
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            kms_check(StateSpec.gibbs(1.0, 1.0), **{argument: value})
+        assert draws == []
+
+    def test_numpy_integers_are_integers(self):
+        state = StateSpec.gibbs(1.5, 1.0)
+        report = kms_check(state, max_degree=np.int64(3), trials=np.int32(5), seed=np.uint64(2))
+        assert report.to_json() == kms_check(state, max_degree=3, trials=5, seed=2).to_json()
 
     def test_non_finite_trace_raises(self):
         """One of these 40 pairs has traces that overflow; a nan residual once passed the check.
@@ -112,6 +133,87 @@ class TestKmsCheck:
         state = StateSpec.gibbs(1.5, 1.0)
         report = kms_check(state, max_degree=4, trials=50, seed=42, dynamics_scale=2.0)
         assert report.max_residual == pytest.approx(19.076255073831753, rel=1e-12)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The seed of every generator made through ``np.random.default_rng``, in order."""
+    seen = []
+    original = np.random.default_rng
+
+    def recording(seed=None):
+        seen.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return seen
+
+
+def report_json(residual, pair):
+    """``KmsReport.to_json()`` of a degree-4, 20-pair report for seed 17, written out."""
+    return (
+        '{\n  "max_residual": ' + repr(residual) + ',\n  "pairs_tested": 20,\n  "seed": 17,\n'
+        '  "tolerance": 1e-08,\n  "worst_pair": [\n'
+        '    "' + pair[0] + '",\n    "' + pair[1] + '"\n  ]\n}'
+    )
+
+
+# Worst pairs of kms_check(state, max_degree=4, trials=20, seed=17), as recorded when
+# each pair was drawn and moved by U_{i beta} as AlgebraElements.
+PINNED_PAIRS = {
+    "none": ("", ""),
+    "scale 1, a": (
+        "Y^2 N[(0.11269743372845298+0.7927293956090409i)*x*exp(-0.07751009438191536)"
+        " + (-0.4665711137897004+0.3965143462794576i)*x]"
+        " + Y^3 N[(-0.9352440104368267+0.2867295468409701i)*x^2*exp(-0.907322043978197)"
+        " + (-0.8292112758508392-0.6292962207789983i)*x^2*exp(-0.43660368045617415)]",
+        "X N[(-0.1016166178023612-0.32218046945442236i)*x^2*exp(-0.6017858614208207)"
+        " + (-0.3460231625229897+0.8160364886118114i)*x^2*exp(0.5521978277228718)]"
+        " + X^2 N[(-0.4930266143864892+0.6707100530419776i)*x"
+        " + (0.07644458825098965-0.09077359731090828i)*x^2]",
+    ),
+    "scale 1, b": (
+        "Y N[(0.14649065848526233-0.34807264912001656i)"
+        " + (0.6072767739001184-0.797231847992651i)*x*exp(0.8603605293600871)]"
+        " + (-0.5116198986955316-0.6575810554884576i) X Y^3 N[exp(0.40156794692075826)]",
+        "N[(-0.6757913359093812+0.6530590742280284i)"
+        " + (0.17433702250874616+0.7584227629073612i)*x^2*exp(-0.48928741191776104)]"
+        " + Y^2 N[(-0.6711616117152761-0.25864422104097873i)*exp(0.4064419697341437)"
+        " + (-0.35165234023807423+0.2324145071222692i)*x*exp(0.8827318190072204)]"
+        " + (0.274535084338283+0.7732766964167284i) X N[x*exp(-0.8862305686288054)]",
+    ),
+    "scale 2": (
+        "(0.9193423411097794-0.2622281401456439i) N[exp(-0.3511294833334089)]"
+        " + Y^4 N[(-0.8788434661034752+0.5905868064183986i)*exp(-0.1971235826347455)"
+        " + (-0.9989418943705963+0.5288141460422018i)]"
+        " + X N[(-0.4570238231806054-0.6029209516513063i)*x^2"
+        " + (-0.31889427868467957+0.10449018164822022i)*x^2*exp(0.7557100795584231)]",
+        "X N[(0.8057763467718249+0.12613370432304638i)*x"
+        " + (0.10250858693002951-0.7648380798084617i)*x^2*exp(-0.025248093794776993)]"
+        " + (0.47676582636846687-0.015065630523581008i) X^3 Y N[exp(0.8021221924940536)]"
+        " + (-0.47101007188631017-0.7849355460698628i) X^4 N[x^2]",
+    ),
+}
+
+# (STATES index, dynamics_scale, max_residual, worst pair) of the same reports
+PINNED_REPORTS = [
+    (0, 1.0, 2.0796143202852603e-15, "scale 1, a"),
+    (0, 2.0, 53.598149570425825, "scale 2"),
+    (1, 1.0, 3.4443293294343614e-16, "scale 1, b"),
+    (1, 2.0, 6.389056098697153, "scale 2"),
+    (2, 1.0, 0.0, "none"),
+    (2, 2.0, 0.0, "none"),
+    (3, 1.0, 5.284381046492703e-15, "scale 1, a"),
+    (3, 2.0, 14.99999999217006, "scale 2"),
+]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("index, dynamics_scale, residual, pair", PINNED_REPORTS,
+                             ids=[f"state{i}-scale{scale:g}" for i, scale, _, _ in PINNED_REPORTS])
+    def test_report_json_is_pinned(self, index, dynamics_scale, residual, pair):
+        report = kms_check(STATES[index], max_degree=4, trials=20, seed=17, dynamics_scale=dynamics_scale)
+        assert report.to_json() == report_json(residual, PINNED_PAIRS[pair])
 
 
 def loop_kms(state, max_degree, trials, seed, dynamics_scale=1.0):
@@ -236,6 +338,32 @@ class TestRandomElements:
         random_function(rng)
         assert rng.calls[-1] == verify.FUNCTION_DRAWS
 
+    def test_pair_block_is_two_element_blocks(self):
+        # kms_check takes a pair's two blocks in one call: the same stream as two calls
+        block = np.random.default_rng([3, 8]).random(2 * verify.ELEMENT_DRAWS)
+        rng = np.random.default_rng([3, 8])
+        first, second = rng.random(verify.ELEMENT_DRAWS), rng.random(verify.ELEMENT_DRAWS)
+        assert block.tolist() == first.tolist() + second.tolist()
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_decoder_matches_the_object_route(self, degree):
+        """``_decode`` gives, bit for bit, the terms the constructors canonicalize a draw to.
+
+        600 draws per degree, plus blocks that hit the exact-zero fallbacks: a
+        zero coefficient, two terms that cancel, and two monomials on one key
+        that cancel (every multi-monomial draw merges at degree 0).
+        """
+        keys = verify._monomial_keys(degree)
+        rng, twin = np.random.default_rng([degree, 1]), np.random.default_rng([degree, 1])
+        blocks = []
+        for _ in range(600):
+            blocks.append(rng.random(verify.ELEMENT_DRAWS).tolist())
+            decoded = verify._decode(blocks[-1], keys)
+            assert repr(decoded) == repr(term_tuples(random_element(twin, degree)))
+        blocks += ZERO_BLOCKS
+        for u in blocks:
+            assert repr(verify._decode(u, keys)) == repr(term_tuples(drawn_as_objects(u, keys)))
+
     def test_pair_replays_from_its_own_stream(self):
         state = StateSpec.gibbs(1.5, 1.0)
         report = kms_check(state, max_degree=4, trials=20, seed=99, dynamics_scale=2.0)
@@ -294,6 +422,38 @@ class TestRandomElements:
         a = random_element(np.random.default_rng(5), 3)
         b = random_element(np.random.default_rng(5), 3)
         assert a == b
+
+
+def drawn_as_objects(u, keys):
+    """The element a block of uniforms draws, built through FunctionExpr and AlgebraElement."""
+    monomials = []
+    for i in range(1 + int(3 * u[0])):
+        slot = u[1 + 12 * i : 13 + 12 * i]
+        terms = []
+        for j in range(1 + int(2 * slot[1])):
+            power, coin, freq, re, im = slot[2 + 5 * j : 7 + 5 * j]
+            freq = 2.0 * freq - 1.0 if coin < 0.5 else 0.0
+            terms.append((int(3 * power), freq, complex(2.0 * re - 1.0, 2.0 * im - 1.0)))
+        f = FunctionExpr(terms)
+        f = f if not f.is_zero else FunctionExpr.constant(1.0)
+        monomials.append((keys[int(len(keys) * slot[0])], f))
+    el = AlgebraElement(monomials)
+    return el if not el.is_zero else AlgebraElement.one()
+
+
+def _slot(key, *terms):
+    """One element slot: a key uniform, a term count uniform, two terms (p, coin, t, Re, Im)."""
+    padded = list(terms) + [(0.1, 0.9, 0.5, 0.3, 0.3)] * (2 - len(terms))
+    return [key, 0.0 if len(terms) == 1 else 0.9] + [x for term in padded for x in term]
+
+
+# On the last key, c = 0 (u = 1/2 for Re and Im) and two terms with c and -c;
+# then two monomials on the first key whose functions c x and -c x cancel
+ZERO_BLOCKS = [
+    [0.0] + _slot(0.99, (0.4, 0.9, 0.5, 0.5, 0.5)) * 3,
+    [0.0] + _slot(0.99, (0.4, 0.9, 0.5, 0.25, 0.75), (0.4, 0.7, 0.1, 0.75, 0.25)) * 3,
+    [0.5] + _slot(0.0, (0.4, 0.9, 0.5, 0.25, 0.75)) + _slot(0.0, (0.4, 0.9, 0.5, 0.75, 0.25)) * 2,
+]
 
 
 # random_element(default_rng([7, k]), 4) for k = 0, 1, 2, as drawn when the key
