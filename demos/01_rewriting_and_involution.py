@@ -14,7 +14,6 @@ from swnkms import (
     N,
     X,
     Y,
-    apply_automorphism,
     commutator,
     format_element,
     from_swn_basis,
@@ -53,10 +52,10 @@ print("a** == a     ->", a.star().star().isclose(a, 1e-12))
 print()
 print("== dynamics U_z scales weight-w monomials by e^{izw} ==")
 beta = 0.8
-print("U_t(X), t=pi/2      ->", format_element(apply_automorphism(X, math.pi / 2)))
-print("U_{i beta}(X)       ->", format_element(apply_automorphism(X, 1j * beta)),
+print("U_t(X), t=pi/2      ->", format_element(X.automorphism(math.pi / 2)))
+print("U_{i beta}(X)       ->", format_element(X.automorphism(1j * beta)),
       f"  (e^-beta = {math.exp(-beta):.6f})")
-print("U_z(N[x^2]) fixed   ->", apply_automorphism(N(f), 0.3 + 1j) == N(f))
+print("U_z(N[x^2]) fixed   ->", N(f).automorphism(0.3 + 1j) == N(f))
 
 print()
 print("== white-noise relabeling (B = sqrt2 Y, B+ = -sqrt2 X, N = H) ==")

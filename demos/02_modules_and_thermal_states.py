@@ -54,7 +54,7 @@ for t in (0.0, 1.0, math.pi):
 
 print()
 print("== the recursion evaluator agrees without ever building a matrix ==")
-measure = state.as_measure()
+measure = state.measure
 for element, label in ((X * Y, "X Y"), (X * X * Y * Y, "X^2 Y^2")):
     tr = eval_trace(state, element)
     rec = eval_kms_recursion(measure, beta, element)

@@ -13,11 +13,8 @@ from .algebra import (
     N,
     X,
     Y,
-    apply_automorphism,
     commutator,
     from_swn_basis,
-    involution,
-    multiply,
     reduce_word,
     to_swn_basis,
 )
@@ -26,7 +23,6 @@ from .grammar import ParseError, format_element, format_function, parse_element,
 from .reps import TruncatedRep, build_rep, ladder_diagonal, relation_residuals, represent, scalar_product_weights
 from .states import (
     CartanMeasure,
-    ConvergenceError,
     SpectralMeasure,
     StateSpec,
     cartan_moment,
@@ -35,7 +31,6 @@ from .states import (
     eval_kms_recursion,
     eval_trace,
     eval_traces,
-    ladder_depth,
     load_state,
     save_state,
     state_from_dict,
@@ -46,7 +41,9 @@ from .verify import KmsReport, gram_psd_check, kms_check, support_positivity_che
 __version__ = "0.1.0"
 
 # Recovery is imported on first use: importing it would cost every other
-# caller about 10 ms.  It needs numpy alone, like the rest of the package.
+# caller 1-2 ms from cached bytecode, and 6-10 ms where it is compiled from
+# source each time (PYTHONDONTWRITEBYTECODE set), by ``python -X importtime``
+# on a 2-vCPU VM.  It needs numpy alone, like the rest of the package.
 _RECOVERY_NAMES = ("IllPosed", "NotExtendable", "RecoveryResult", "chi_fit", "ladder_peel")
 
 
@@ -60,7 +57,6 @@ def __getattr__(name):
 __all__ = [
     "AlgebraElement",
     "CartanMeasure",
-    "ConvergenceError",
     "FunctionExpr",
     "H",
     "IllPosed",
@@ -74,7 +70,6 @@ __all__ = [
     "TruncatedRep",
     "X",
     "Y",
-    "apply_automorphism",
     "build_rep",
     "cartan_moment",
     "cartan_restriction",
@@ -88,13 +83,10 @@ __all__ = [
     "format_function",
     "from_swn_basis",
     "gram_psd_check",
-    "involution",
     "kms_check",
-    "ladder_depth",
     "ladder_diagonal",
     "ladder_peel",
     "load_state",
-    "multiply",
     "parse_element",
     "parse_function",
     "reduce_word",

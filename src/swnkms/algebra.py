@@ -236,18 +236,6 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def apply_automorphism(a: AlgebraElement, z: complex) -> AlgebraElement:
-    return a.automorphism(z)
-
-
-def involution(a: AlgebraElement) -> AlgebraElement:
-    return a.star()
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def weight_zero_rows(a: AlgebraElement, b: AlgebraElement) -> tuple[list, list, list, list]:
     """The weight-zero part of a * b as unmerged rows (m, n, t, c), one list per column.
 

@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
         value = eval_trace(state, element)
         lines.append(f"trace      = {_fmt_complex(value)}")
     if args.method in ("recursion", "both"):
-        value_r = eval_kms_recursion(state.as_measure(), state.beta, element)
+        value_r = eval_kms_recursion(state.measure, state.beta, element)
         lines.append(f"recursion  = {_fmt_complex(value_r)}")
     if args.method == "both":
         lines.append(f"difference = {_fmt(abs(value - value_r))}")
@@ -267,8 +267,6 @@ def _load_chi_csv(path: str):
 def cmd_recover(args) -> int:
     if (args.cartan is None) == (args.chi is None):
         raise CliError("provide exactly one of --cartan or --chi")
-    if not 0 < args.beta < math.inf:
-        raise CliError("beta must be positive and finite")
     from .recovery import IllPosed, NotExtendable, chi_fit, ladder_peel
 
     try:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure, merge_positions
+from .states import POSITION_ATOL, CartanMeasure, SpectralMeasure, ladder_ratio, merge_positions
 
 
 class NotExtendable(ValueError):
@@ -76,16 +76,6 @@ class RecoveryResult:
     method: str
 
 
-def _ladder_ratio(beta: float) -> float:
-    """q = e^{-beta}; ValueError unless beta is finite and q differs from 1 in floats."""
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    q = math.exp(-beta)
-    if q == 1.0:
-        raise ValueError(f"beta must be positive and above ~1e-16, got {beta}")
-    return q
-
-
 # -- atom-domain route -----------------------------------------------------------
 
 
@@ -105,7 +95,7 @@ def ladder_peel(cartan: CartanMeasure, beta: float, tol: float = 1e-8) -> Recove
     NotExtendable on mass above tol at x < 0, on r < -tol, on a residual
     above tol, or when the recovered mass is not 1.
     """
-    q = _ladder_ratio(beta)
+    q = ladder_ratio(beta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     m0 = cartan.m0
@@ -511,7 +501,7 @@ def chi_fit(
     exceeds tol (chi is not of the admissible form); IllPosed when
     two recovered atoms sit closer than ``separation``.
     """
-    q = _ladder_ratio(beta)
+    q = ladder_ratio(beta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_atoms < 0:

@@ -3,7 +3,8 @@
 A covariant KMS state at inverse temperature beta is determined by a point
 mass m1 at the bottom (vacuum component) plus a probability measure on the
 positive half-line (Gibbs components); ``SpectralMeasure`` is the finite-atom
-realization.  Two independent evaluators are provided:
+realization, and ``StateSpec`` is the pair (beta, measure).  Two independent
+evaluators are provided:
 
 * ``trace_rows`` -- trace of the Gibbs density e^{-beta H/2}/Z against the
   diagonal of X^m Y^m in the lowest-weight module (the module route), summed
@@ -44,14 +45,15 @@ ATOM_MERGE_RTOL = 1e-12
 # different base atoms (spacing-2 overlaps).
 POSITION_ATOL = 1e-9
 
+#: The Cartan restriction cuts each Gibbs ladder where its dropped tail holds under this.
+LADDER_TOL = 1e-13
+#: Deepest rung ``cartan_restriction`` lays out on a ladder.
+MAX_LADDER_DEPTH = 1 << 20
+
 # Cached ladder tables, one per (atom locations, m, n); an entry holds
 # len(atoms) (2m + n + 1) floats at any beta.  A verify benchmark run (seed 1,
 # 4 rounds) needs 214 keys, all with 2m + n <= 12.
 LADDER_CACHE = 512
-
-
-class ConvergenceError(RuntimeError):
-    """A truncated series failed to meet its tolerance within the cap."""
 
 
 # -- measures -------------------------------------------------------------------
@@ -122,73 +124,64 @@ class CartanMeasure:
 
 # -- states ---------------------------------------------------------------------
 
-VACUUM = "vacuum"
-GIBBS = "gibbs"
-MIXTURE = "mixture"
+
+def ladder_ratio(beta: float) -> float:
+    """q = e^{-beta}; ValueError unless beta is finite and q differs from 1 in floats."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    q = math.exp(-beta)
+    if q == 1.0:
+        raise ValueError(f"beta must be positive and above ~1e-16, got {beta}")
+    return q
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A covariant KMS state: Vacuum, Gibbs(lambda), or Mixture(measure)."""
+    """A covariant KMS state: the inverse temperature and the measure classifying it."""
 
     beta: float
-    kind: str
-    lam: float | None = None
-    measure: SpectralMeasure | None = None
+    measure: SpectralMeasure
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if self.kind == GIBBS:
-            if self.lam is None or not 0 < self.lam < math.inf:
-                raise ValueError(f"Gibbs state needs lambda > 0, got {self.lam}")
-        elif self.kind == MIXTURE:
-            if self.measure is None:
-                raise ValueError("mixture state needs a SpectralMeasure")
-        elif self.kind != VACUUM:
-            raise ValueError(f"unknown state kind {self.kind!r}")
+        ladder_ratio(self.beta)
+        if not isinstance(self.measure, SpectralMeasure):
+            raise ValueError(f"a state needs a SpectralMeasure, got {self.measure!r}")
 
     @classmethod
     def vacuum(cls, beta: float) -> "StateSpec":
-        return cls(beta=beta, kind=VACUUM)
+        return cls(beta, SpectralMeasure(1.0))
 
     @classmethod
     def gibbs(cls, lam: float, beta: float) -> "StateSpec":
-        return cls(beta=beta, kind=GIBBS, lam=float(lam))
+        """Gibbs(lambda): the measure delta_lambda."""
+        return cls(beta, SpectralMeasure(0.0, ((lam, 1.0),)))
 
     @classmethod
     def mixture(cls, measure: SpectralMeasure, beta: float) -> "StateSpec":
-        return cls(beta=beta, kind=MIXTURE, measure=measure)
-
-    def as_measure(self) -> SpectralMeasure:
-        """The Gibbs(lambda) spelling equals Mixture(m1=0, [(lambda, 1)])."""
-        if self.kind == VACUUM:
-            return SpectralMeasure(1.0, ())
-        if self.kind == GIBBS:
-            return SpectralMeasure(0.0, ((self.lam, 1.0),))
-        return self.measure
+        return cls(beta, measure)
 
 
 def state_to_dict(state: StateSpec) -> dict:
-    out: dict = {"beta": state.beta, "kind": state.kind}
-    if state.kind == GIBBS:
-        out["lambda"] = state.lam
-    elif state.kind == MIXTURE:
-        out["m1"] = state.measure.m1
-        out["atoms"] = [{"lambda": lam, "w": w} for lam, w in state.measure.atoms]
-    return out
+    """The state in the mixture form of a state file."""
+    return {
+        "beta": state.beta,
+        "kind": "mixture",
+        "m1": state.measure.m1,
+        "atoms": [{"lambda": lam, "w": w} for lam, w in state.measure.atoms],
+    }
 
 
 def state_from_dict(data: dict) -> StateSpec:
+    """Read a state file of kind "vacuum", "gibbs" (with "lambda") or "mixture"."""
     kind = data.get("kind")
     beta = data.get("beta")
     if not isinstance(beta, (int, float)):
         raise ValueError("state file needs a numeric 'beta'")
-    if kind == VACUUM:
+    if kind == "vacuum":
         return StateSpec.vacuum(beta)
-    if kind == GIBBS:
+    if kind == "gibbs":
         return StateSpec.gibbs(data["lambda"], beta)
-    if kind == MIXTURE:
+    if kind == "mixture":
         atoms = tuple((a["lambda"], a["w"]) for a in data.get("atoms", ()))
         return StateSpec.mixture(SpectralMeasure(data.get("m1", 0.0), atoms), beta)
     raise ValueError(f"unknown state kind {kind!r}")
@@ -206,32 +199,6 @@ def save_state(state: StateSpec, path) -> None:
 
 
 # -- Gibbs ladder and trace evaluator ------------------------------------------------
-
-
-def ladder_depth(beta: float, tol: float = 1e-13) -> int:
-    """Last rung P kept of the Gibbs ladder (1-q) q^p at lam + 2p, q = e^{-beta}.
-
-    P is the first of 64, 128, 256, ... with 4 q^P <= tol (1-q): the dropped
-    tail then holds under tol/4 of the mass, and renormalizing the rungs
-    p = 0..P to mass 1 (``_ladder``) moves them by under tol/4 in total.
-    """
-    q = math.exp(-beta)
-    depth = 64
-    while 4.0 * q**depth > tol * (1.0 - q):
-        depth *= 2
-        if depth > (1 << 20):
-            raise ConvergenceError(
-                f"ladder truncation cannot reach tol={tol} (beta={beta} too small?)"
-            )
-    return depth
-
-
-def _ladder(beta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rungs p = 0..depth and their masses (1-q) q^p, renormalized to sum 1."""
-    q = math.exp(-beta)
-    ps = np.arange(depth + 1, dtype=float)
-    masses = (1.0 - q) * q**ps
-    return ps, masses / masses.sum()
 
 
 def _times_root(b: np.ndarray, r) -> np.ndarray:
@@ -304,14 +271,12 @@ def trace_rows(state: StateSpec, rows, counts) -> np.ndarray:
     All rows are entries (m, n) x t of one grid, each distinct (m, n) and t
     once, and a single contraction of the tables b against u^k / (1-z) and the
     atoms' phases fills it.  Each element's rows are summed in order, then
-    m1 F(0) is added.  Raises ValueError when e^{-beta} rounds to 1 (beta below
-    ~1e-16), and when a value is not finite (an overflow at tiny beta and high
-    degree), naming the first row (m, n) whose entry is not finite.
+    m1 F(0) is added.  Raises ValueError when a value is not finite (an
+    overflow at tiny beta and high degree), naming the first row (m, n) whose
+    entry is not finite.
     """
     q = math.exp(-state.beta)
-    if q == 1.0:
-        raise ValueError(f"beta must be positive and above ~1e-16, got {state.beta}")
-    measure = state.as_measure()
+    measure = state.measure
     owners = np.repeat(np.arange(len(counts)), counts)
     ms, ns, ts, cs = rows
     ms, ns = np.array(ms, dtype=int), np.array(ns, dtype=int)
@@ -369,7 +334,7 @@ def chi_closed_form(state: StateSpec, t):
 
     Accepts a scalar or an array of t values.
     """
-    measure = state.as_measure()
+    measure = state.measure
     q = math.exp(-state.beta)
     ts = np.asarray(t, dtype=float)
     out = np.full(ts.shape, measure.m1, dtype=complex)
@@ -385,20 +350,34 @@ def chi_closed_form(state: StateSpec, t):
 
 
 def cartan_restriction(state: StateSpec) -> CartanMeasure:
-    """The state's measure on the Cartan subalgebra, truncated at ``ladder_depth``.
+    """The state's measure on the Cartan subalgebra, each Gibbs ladder cut at rung P.
 
     Each Gibbs component contributes the geometric ladder (1-q) q^p at
-    lam + 2p; the truncated ladder is renormalized (``_ladder``) so each
-    component keeps its full weight.  Positions from different ladders closer
-    than POSITION_ATOL are merged (``merge_positions``).
+    lam + 2p, q = e^{-beta}.  P is the smallest depth with
+    4 q^P <= LADDER_TOL (1-q): the dropped tail then holds under LADDER_TOL/4
+    of the mass, and renormalizing the rungs p = 0..P to mass 1 moves them by
+    under LADDER_TOL/4 in total, so each component keeps its full weight.
+    Positions from different ladders closer than POSITION_ATOL are merged
+    (``merge_positions``).  Raises ValueError, naming beta, when P would
+    exceed MAX_LADDER_DEPTH (beta below ~4e-5).
     """
-    measure = state.as_measure()
-    ps, rung_masses = _ladder(state.beta, ladder_depth(state.beta))
+    q = math.exp(-state.beta)
+    bound = LADDER_TOL * (1.0 - q)
+    # ln q is -beta only up to rounding, so the estimate can be one rung off either way
+    depth = math.ceil(math.log(4.0 / bound) / state.beta)
+    depth += 4.0 * q**depth > bound
+    depth -= depth > 1 and 4.0 * q ** (depth - 1) <= bound
+    if depth > MAX_LADDER_DEPTH:
+        raise ValueError(f"beta={state.beta} is too small: its Gibbs ladder needs rungs up to "
+                         f"p = {depth} > {MAX_LADDER_DEPTH} to drop under {LADDER_TOL} of its mass")
+    ps = np.arange(depth + 1, dtype=float)
+    rung_masses = (1.0 - q) * q**ps
+    rung_masses /= rung_masses.sum()
     collected: list[tuple[float, float]] = []
-    for lam, w in measure.atoms:
+    for lam, w in state.measure.atoms:
         positions = lam + 2.0 * ps
         collected.extend(zip(positions.tolist(), (w * rung_masses).tolist()))
-    return CartanMeasure(atoms=merge_positions(collected), m0=measure.m1)
+    return CartanMeasure(atoms=merge_positions(collected), m0=state.measure.m1)
 
 
 def merge_positions(pairs) -> tuple[tuple[float, float], ...]:
@@ -489,9 +468,7 @@ def eval_kms_recursion(measure: SpectralMeasure, beta: float, a: AlgebraElement)
     m1 F(0) + (1-q) sum_k w_k (F + G)(lam_k), also exact: the evaluation is
     finite algebra with no truncation.
     """
-    if not beta > 0 or math.exp(-beta) == 1.0:  # e^{-beta} must differ from 1 in floats
-        raise ValueError(f"beta must be positive and above ~1e-16, got {beta}")
-    q = math.exp(-beta)
+    q = ladder_ratio(beta)
 
     def moment(f: FunctionExpr) -> complex:
         total = measure.m1 * f(0.0)

@@ -173,8 +173,9 @@ def kms_check(
     residual; only it is built as elements, to be formatted.
     ``dynamics_scale`` multiplies beta inside U_{i beta} only (the negative
     control: scale 2 turns e^{-beta} into e^{-2 beta} and must blow the
-    check).  Raises ValueError on a bad argument before any draw, and when a
-    trace is not finite, naming the term.
+    check).  Raises ValueError on a bad argument before any draw, when
+    e^{-beta scale w} overflows for a drawn weight w (naming beta, the scale
+    and w), and when a trace is not finite, naming the term.
     """
     trials = _whole("trials", trials)
     max_degree = _whole("max_degree", max_degree)
@@ -199,13 +200,17 @@ def kms_check(
         pairs.append((a, b))
         # U_{i beta}(A) as ``automorphism`` canonicalizes it (0j + c s, zeros
         # dropped), kept only where A's weight cancels one of B's; every weight
-        # of A gets its exponential, so an overflow raises where it always did
+        # of A gets its exponential, so one that overflows raises even if it cancels none
         cancel = {n - m for (m, n), _ in b}
         moved = []
         for (m, n), f in a:
             s = phases.get(m - n)
             if s is None:
-                s = phases[m - n] = cmath.exp(1j * z * (m - n))
+                try:
+                    s = phases[m - n] = cmath.exp(1j * z * (m - n))
+                except OverflowError:
+                    raise ValueError(f"U_(i beta) overflows at beta={state.beta}, "
+                                     f"dynamics_scale={dynamics_scale} on weight {m - n}") from None
             if m - n in cancel and (g := [(p, t, cs) for p, t, c in f if (cs := 0j + c * s)]):
                 moved.append(((m, n), g))
         counts.append(add_weight_zero_rows(rows, a, b))
@@ -281,9 +286,8 @@ def support_positivity_check(
         positions = [x for x, mass in target.atoms if mass > 0.0]
         at_zero = target.m0 > 0.0
     else:
-        measure = target.as_measure()
-        positions = [lam for lam, _ in measure.atoms]
-        at_zero = measure.m1 > 0.0
+        positions = [lam for lam, _ in target.measure.atoms]
+        at_zero = target.measure.m1 > 0.0
     if at_zero:
         positions.append(0.0)
     min_pos = min(positions, default=0.0)

@@ -102,7 +102,7 @@ def test_criterion_3_oracle_equivalence():
     worst = 0.0
     for beta in BETA_GRID:
         for state in grid_states(beta):
-            measure = state.as_measure()
+            measure = state.measure
             for m in range(4):
                 for f in functions:
                     a = AlgebraElement.monomial(m, m, f)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from swnkms.states import SpectralMeasure, StateSpec, cartan_restriction, chi_closed_form, save_state
+from swnkms.states import (
+    SpectralMeasure, StateSpec, cartan_restriction, chi_closed_form, load_state, save_state,
+)
 
 
 CLI_TIMEOUT = 120  # seconds; a hanging subcommand fails its test instead of the suite
@@ -140,10 +143,17 @@ class TestEval:
         assert abs(trace) > 1e30
         assert abs(trace - recursion) <= 1e-12 * abs(recursion)
 
-    def test_beta_where_q_rounds_to_one_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ("eval", "--expr", "X Y"),
+        ("chi",),
+        ("kms-check",),
+        ("gram-check", "--word", "X"),
+    ], ids=["eval", "chi", "kms-check", "gram-check"])
+    def test_beta_where_q_rounds_to_one_exits_2(self, tmp_path, args):
+        # written as text: StateSpec refuses this beta, so it cannot save the file
         path = tmp_path / "gibbs.json"
-        save_state(StateSpec.gibbs(1.5, 1e-17), path)
-        result = run_cli("eval", "--state", str(path), "--expr", "X Y")
+        path.write_text('{"beta": 1e-17, "kind": "gibbs", "lambda": 1.5}\n')
+        result = run_cli(args[0], "--state", str(path), *args[1:])
         assert result.returncode == 2
         assert "beta must be positive and above ~1e-16" in result.stderr
         assert result.stdout == ""
@@ -265,6 +275,46 @@ class TestLazyRecoveryImport:
         assert [atom["lambda"] for atom in report["atoms"]] == pytest.approx([1.3, 3.7])
 
 
+class TestExports:
+    """``swnkms.__all__`` is the package's whole public surface, and every name in it resolves."""
+
+    EXPORTS = {
+        "AlgebraElement", "CartanMeasure", "FunctionExpr", "H", "IllPosed", "KmsReport", "N",
+        "NotExtendable", "ParseError", "RecoveryResult", "SpectralMeasure", "StateSpec",
+        "TruncatedRep", "X", "Y", "build_rep", "cartan_moment", "cartan_restriction",
+        "chi_closed_form", "chi_fit", "commutator", "eval_kms_recursion", "eval_trace",
+        "eval_traces", "format_element", "format_function", "from_swn_basis", "gram_psd_check",
+        "kms_check", "ladder_diagonal", "ladder_peel", "load_state", "parse_element",
+        "parse_function", "reduce_word", "relation_residuals", "represent", "save_state",
+        "scalar_product_weights", "state_from_dict", "state_to_dict", "support_positivity_check",
+        "to_swn_basis",
+    }
+
+    def test_every_export_resolves(self):
+        import swnkms
+
+        assert set(swnkms.__all__) == self.EXPORTS
+        assert len(swnkms.__all__) == len(self.EXPORTS)
+        for name in swnkms.__all__:
+            assert getattr(swnkms, name) is not None, name
+
+    def test_no_public_name_outside_all(self):
+        import types
+
+        import swnkms
+
+        public = {name for name, value in vars(swnkms).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public <= set(swnkms.__all__)
+
+    def test_a_state_is_beta_and_measure(self):
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(StateSpec)] == ["beta", "measure"]
+        assert {name for name in vars(StateSpec) if not name.startswith("_")} == {
+            "vacuum", "gibbs", "mixture"}
+
+
 class TestChi:
     def test_header_and_endpoints(self, gibbs_file):
         result = run_cli(
@@ -319,6 +369,16 @@ class TestKmsCheckCommand:
         assert result.returncode == 1
         report = json.loads(result.stdout)
         assert report["max_residual"] > 1e-2
+
+    def test_overflowing_dynamics_exits_2(self, tmp_path):
+        # e^{beta |w|} at beta 200 and weight 4 is past the float range
+        path = tmp_path / "cold.json"
+        save_state(StateSpec.gibbs(1.5, 200.0), path)
+        result = run_cli("kms-check", "--state", str(path), "--degree", "4")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "beta=200.0, dynamics_scale=1.0 on weight" in result.stderr
 
     def test_zero_trials_exits_2(self, gibbs_file):
         result = run_cli("kms-check", "--state", gibbs_file, "--trials", "0")
@@ -543,6 +603,96 @@ class TestDeterminism:
         first, second = run_cli(*args), run_cli(*args)
         assert first.returncode == second.returncode == 0, first.stderr
         assert first.stdout == second.stdout
+
+
+# One mixture state, written as text so that no library spelling of a state is involved.
+FIXTURE_STATE = (
+    '{"atoms": [{"lambda": 0.7, "w": 0.45}, {"lambda": 2.9, "w": 0.3}], '
+    '"beta": 0.8, "kind": "mixture", "m1": 0.25}\n'
+)
+FIXTURE_BETA = "0.8"
+# (exit code, sha256 of stdout) per job, recorded before StateSpec became (beta, measure).
+PINNED_OUTPUTS = {
+    "eval": (0, "e1bf7c2388c6a1130d8aa62559f6748b0a8e06a95dc9a4689896e4faa0f0985a"),
+    "chi": (0, "49d1611cc903e5999a2b507efbe9f1b3d0f580c7f3afa9678b8ca6fe39983625"),
+    "kms": (0, "ddbf7864ed62e2beb904e820e3ab2d568f2c40be403c0a1f1d7c98853a93134f"),
+    "kms_sabotage": (1, "42af23aa59a9128399d590154e585ca8c0c4452701b8eb747a9f548860e4503f"),
+    "gram": (0, "45c8eb6760fe1ffcfb89ef703e31c3f6ec9ed2c961d5fb2c4620deb6976a394c"),
+    "recover_chi": (0, "cb09d936457dcb7af030941af81118667e80dcc56e1121b3b0004400882d5fdf"),
+    "relations": (0, "fbd4028045084c8a7e31b1e8af1b8c833ef6ea193a27f9f925180226d4c13a2c"),
+}
+# recover --cartan from the fixture's restriction: its input depends on where the
+# ladder is cut, so its report is pinned by value.
+PINNED_CARTAN_REPORT = {
+    "atoms": [{"lambda": 0.7, "w": 0.45}, {"lambda": 2.9, "w": 0.3}],
+    "beta": 0.8,
+    "kind": "mixture",
+    "m1": 0.25,
+    "method": "ladder-peel",
+    "residual": 6.946159991238355e-18,
+}
+
+
+@pytest.fixture
+def fixture_files(tmp_path):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(FIXTURE_STATE)
+    state = json.loads(FIXTURE_STATE)
+    measure = SpectralMeasure(state["m1"], [(a["lambda"], a["w"]) for a in state["atoms"]])
+    ts = np.linspace(-10, 10, 101)
+    rows = ["t,re_chi,im_chi"]
+    for t, c in zip(ts, chi_closed_form(StateSpec.mixture(measure, state["beta"]), ts)):
+        rows.append(f"{float(t)!r},{float(c.real)!r},{float(c.imag)!r}")
+    chi_path = tmp_path / "chi.csv"
+    chi_path.write_text("\n".join(rows) + "\n")
+    return str(state_path), str(chi_path)
+
+
+def fixture_jobs(state_path, chi_path):
+    return {
+        "eval": ("eval", "--state", state_path, "--expr", "X^2 Y^2 N[0.5*x + 0.3*exp(0.7)]",
+                 "--method", "both"),
+        "chi": ("chi", "--state", state_path, "--t-min", "-5", "--t-max", "5", "--steps", "21",
+                "--cross-check"),
+        "kms": ("kms-check", "--state", state_path, "--degree", "3", "--trials", "20", "--seed", "5"),
+        "kms_sabotage": ("kms-check", "--state", state_path, "--degree", "3", "--trials", "60",
+                         "--seed", "5", "--sabotage-dynamics"),
+        "gram": ("gram-check", "--state", state_path, "--word", "1", "--word", "X",
+                 "--word", "X Y", "--word", "(X+Y+H)^2"),
+        "recover_chi": ("recover", "--chi", chi_path, "--beta", FIXTURE_BETA, "--max-atoms", "3"),
+        "relations": ("relations", "--lambda", "0.3,1.7", "--dim", "32"),
+    }
+
+
+class TestPinnedFixtureOutputs:
+    """The CLI's reports on one fixed state file keep their exit codes and bytes."""
+
+    @pytest.mark.parametrize("job", sorted(PINNED_OUTPUTS))
+    def test_stdout_is_pinned(self, fixture_files, job):
+        result = run_cli(*fixture_jobs(*fixture_files)[job])
+        digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+        assert (result.returncode, digest) == PINNED_OUTPUTS[job], result.stderr
+
+    def test_recover_cartan_values_are_pinned(self, fixture_files, tmp_path):
+        restriction = cartan_restriction(load_state(fixture_files[0]))
+        cartan_path = tmp_path / "cartan.json"
+        cartan_path.write_text(json.dumps({
+            "m0": restriction.m0,
+            "atoms": [{"x": x, "mass": m} for x, m in restriction.atoms],
+        }))
+        result = run_cli("recover", "--cartan", str(cartan_path), "--beta", FIXTURE_BETA)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        expected = PINNED_CARTAN_REPORT
+        assert sorted(report) == sorted(expected)
+        assert (report["kind"], report["method"], report["beta"]) == (
+            expected["kind"], expected["method"], expected["beta"])
+        assert report["m1"] == pytest.approx(expected["m1"], abs=1e-12)
+        assert report["residual"] == pytest.approx(expected["residual"], abs=1e-12)
+        assert len(report["atoms"]) == len(expected["atoms"])
+        for got, want in zip(report["atoms"], expected["atoms"]):
+            assert got["lambda"] == pytest.approx(want["lambda"], abs=1e-12)
+            assert got["w"] == pytest.approx(want["w"], abs=1e-12)
 
 
 class TestRepExport:

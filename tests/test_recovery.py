@@ -54,7 +54,7 @@ class TestLadderPeel:
         result = ladder_peel(cartan_restriction(state), 1.0)
         assert result.method == "ladder-peel"
         assert result.measure.m1 == 0.0
-        assert measure_error(result.measure, state.as_measure()) <= 1e-10
+        assert measure_error(result.measure, state.measure) <= 1e-10
         assert result.residual <= 1e-10
 
     def test_delta_zero_is_vacuum(self):
@@ -146,6 +146,15 @@ class TestLadderPeel:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             ladder_peel(cartan_restriction(StateSpec.gibbs(1.5, 1.0)), 1.0, tol=tol)
 
+    def test_roundtrips_to_rounding(self):
+        """200 states of 1-3 atoms: the restriction's cut and the peel lose only rounding."""
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            measure = random_measure(rng, max_atoms=3, with_vacuum=True)
+            beta = float(rng.uniform(0.5, 2.0))
+            result = ladder_peel(cartan_restriction(StateSpec.mixture(measure, beta)), beta)
+            assert measure_error(result.measure, measure) <= 1e-14, (measure, beta)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_randomized_roundtrips(self, beta):
         rng = np.random.default_rng(101)
@@ -166,7 +175,7 @@ class TestChiFit:
         samples = list(zip(ts, chi_closed_form(state, ts)))
         result = chi_fit(samples, 1.0, max_atoms=5)
         assert result.method == "chi-fit"
-        assert measure_error(result.measure, state.as_measure()) <= 1e-6
+        assert measure_error(result.measure, state.measure) <= 1e-6
         assert result.residual <= 1e-8
 
     def test_constant_chi_is_vacuum(self):
@@ -221,7 +230,7 @@ class TestChiFit:
         ts = np.sort(rng.uniform(-10, 10, 120))
         samples = list(zip(ts, chi_closed_form(state, ts)))
         result = chi_fit(samples, 1.0, max_atoms=2, tol=1e-5)
-        assert measure_error(result.measure, state.as_measure()) <= 1e-5
+        assert measure_error(result.measure, state.measure) <= 1e-5
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_randomized_roundtrips(self, beta):
@@ -582,14 +591,14 @@ class TestChiFitPipeline:
         state = StateSpec.gibbs(2.0, 1.0)
         ts = np.linspace(-10, 10, 101)
         result = chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, max_atoms=5)
-        assert measure_error(result.measure, state.as_measure()) <= 1e-6
+        assert measure_error(result.measure, state.measure) <= 1e-6
         assert len(polishes) <= 2
 
     def test_nonuniform_accept_polishes_at_most_twice(self, polishes):
         state = StateSpec.gibbs(1.5, 1.0)
         ts = np.sort(np.random.default_rng(3).uniform(-10, 10, 120))
         result = chi_fit(list(zip(ts, chi_closed_form(state, ts))), 1.0, max_atoms=2, tol=1e-5)
-        assert measure_error(result.measure, state.as_measure()) <= 1e-5
+        assert measure_error(result.measure, state.measure) <= 1e-5
         assert len(polishes) <= 2
 
     def test_noisy_trimmed_fit_is_repolished(self, polishes):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 from swnkms import states
 from swnkms.algebra import (
-    AlgebraElement, N, X, Y, apply_automorphism, weight_zero_product, weight_zero_rows,
+    AlgebraElement, N, X, Y, weight_zero_product, weight_zero_rows,
 )
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
 from swnkms.reps import ladder_diagonal
@@ -191,7 +191,7 @@ class TestEvalTracePinned:
         state = StateSpec.gibbs(1.5, 1.0)
         a = X * Y + 2.0 * X - 1j * Y * Y + N(X_VAR)
         for t in (0.3, 1.7):
-            moved = apply_automorphism(a, t)
+            moved = a.automorphism(t)
             assert abs(eval_trace(state, moved) - eval_trace(state, a)) <= 1e-10
 
 
@@ -202,7 +202,7 @@ def per_rung_trace(state, a, depth=1000):
     w_k (1-q) q^p diag_m(p) c x^n e^{itx}.  At beta >= 0.3 and degree <= 6,
     the rungs past 1000 hold far less than 1e-16 of that sum.
     """
-    measure = state.as_measure()
+    measure = state.measure
     q = math.exp(-state.beta)
     masses = (1.0 - q) * q ** np.arange(depth, dtype=float)
     f0 = a.cartan_part(0, 0)
@@ -272,7 +272,7 @@ def loop_trace(state, a):
     same contraction at z = q with |c| and unit phases (every b_k is positive).
     """
     q = math.exp(-state.beta)
-    measure = state.as_measure()
+    measure = state.measure
     total = 0j
     scale = 0.0
     if measure.m1:
@@ -347,7 +347,7 @@ class TestEvalTraces:
         rng = np.random.default_rng([1606, index])
         state = random_mixture(rng, float(rng.uniform(0.05, 2.5)))
         if index < 4:  # mixtures with a vacuum part
-            atoms = state.as_measure().atoms
+            atoms = state.measure.atoms
             measure = SpectralMeasure(0.25, tuple((lam, 0.75 * w) for lam, w in atoms))
             state = StateSpec.mixture(measure, state.beta)
         elements = self.batch(rng)
@@ -464,6 +464,32 @@ class TestCartanMeasures:
         measure = cartan_restriction(state)
         total = measure.m0 + sum(m for _, m in measure.atoms)
         assert total == pytest.approx(1.0, abs=1e-13)
+
+    # the last two sit on the bound: ceil(ln(4 / (LADDER_TOL (1-q))) / beta) is one
+    # rung short at 15.65995..., and one rung long at 1.37441...
+    @pytest.mark.parametrize("beta", [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0,
+                                      15.659950364078183, 1.3744162424740527])
+    def test_depth_is_the_smallest_meeting_the_tail_bound(self, beta):
+        """The last rung P is the smallest with 4 q^P <= LADDER_TOL (1-q)."""
+        depth = len(cartan_restriction(StateSpec.gibbs(0.7, beta)).atoms) - 1
+        q = math.exp(-beta)
+        bound = states.LADDER_TOL * (1.0 - q)
+        assert 4.0 * q**depth <= bound
+        assert 4.0 * q ** (depth - 1) > bound
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 20.0])
+    def test_each_ladder_keeps_its_weight_from_lambda_up(self, beta):
+        atoms = ((0.7, 0.45), (1.9, 0.3), (3.35, 0.05))
+        measure = cartan_restriction(StateSpec.mixture(SpectralMeasure(0.2, atoms), beta))
+        assert measure.m0 == 0.2
+        for lam, w in atoms:
+            rungs = [(x, m) for x, m in measure.atoms if abs(math.remainder(x - lam, 2.0)) < 1e-9]
+            assert min(x for x, _ in rungs) == lam
+            assert sum(m for _, m in rungs) == pytest.approx(w, abs=1e-15)
+
+    def test_refuses_beta_past_the_depth_cap(self):
+        with pytest.raises(ValueError, match=r"beta=1e-07 is too small"):
+            cartan_restriction(StateSpec.gibbs(1.5, 1e-7))
 
     def test_positivity_of_moments(self):
         state = StateSpec.gibbs(1.2, 1.0)

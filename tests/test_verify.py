@@ -128,6 +128,13 @@ class TestKmsCheck:
             with pytest.raises(ValueError, match=message):
                 kms_check(StateSpec.gibbs(1.5, 1e-15), max_degree=12, trials=40, seed=3)
 
+    def test_overflowing_dynamics_raises_naming_beta_scale_and_weight(self):
+        """U_{i beta} scales weight w by e^{-beta w}: at beta 200, w = -4 is past the
+        float range, and this once escaped as a bare OverflowError."""
+        message = r"beta=200.0, dynamics_scale=1.0 on weight -4$"
+        with pytest.raises(ValueError, match=message):
+            kms_check(StateSpec.gibbs(1.5, 200.0), max_degree=4)
+
     def test_sabotaged_residual_is_pinned(self):
         # recorded when the checks traced canonical products; rows move it only by rounding
         state = StateSpec.gibbs(1.5, 1.0)
