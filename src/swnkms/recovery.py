@@ -17,8 +17,9 @@ Two independent routes:
   so the next singular value bounds every fit's residual from below (Weyl's
   inequality), and data whose bound exceeds tol is rejected with no fit at
   all.  Otherwise a matrix-pencil solve (Hua & Sarkar 1990) on that SVD seeds
-  its nodes of positive amplitude on a uniform grid, the periodogram on any
-  other grid or when the pencil fit misses tol.  Each seed gets one
+  its nodes whose weight in chi/g, m1's share taken out, exceeds tol on a
+  uniform grid, the periodogram on any other grid or when the pencil fit
+  misses tol.  Each seed gets one
   variable-projection polish (Golub & Pereyra 1973) over one bounded weight
   solve (weights in [0,1], total mass pinned to 1); there is no multi-start.
   The weight solve is a direct least-squares solve, with BVLS (Stark & Parker
@@ -396,7 +397,9 @@ def _polish(ts, chis, geom, lams0):
     LOCATION_FLOOR while its gradient points outward, the same initial
     radius and radius update, ftol and xtol 1e-14, gtol 1e-8 on the scaled
     gradient, and at most 100 evaluations per atom.  A step that crosses
-    the floor is projected onto it.
+    the floor is projected onto it.  The weights returned are the last
+    accepted step's; only atoms that end out of order are sorted and solved
+    again.
     """
     # strictly above the floor, as trf starts, so that the radius is finite
     x = np.maximum(np.asarray(lams0, dtype=float), LOCATION_FLOOR + 1e-10)
@@ -454,6 +457,8 @@ def _polish(ts, chis, geom, lams0):
                     radius *= 2.0
             if reduction > 0:
                 x, fit = x_new, fit_new
+        if np.all(x[:-1] <= x[1:]):
+            return (x,) + fit[:2]
         x = np.sort(x)
     return (x,) + _solve_weights(ts, chis, geom, x)[:2]
 
@@ -484,10 +489,15 @@ def chi_fit(
     The matrix pencil of chi/g seeds the atoms on a uniform grid; its
     periodogram seeds them on any other grid or when the pencil fit misses
     tol, and the better fit wins.  An atom's amplitude in chi/g is its
-    weight, so the pencil seeds only nodes of positive amplitude: that
-    leaves out m1's e^{2it} term, of amplitude -m1 q/(1-q), which on noisy
-    data would otherwise take a small weight and wander through the atoms
-    for up to a hundred polish steps before the fit trims it.  Each seed is
+    weight, so the pencil seeds only nodes of weight above tol; a seed no
+    heavier than that is indistinguishable from the residual the fit may
+    leave.  m1 adds m1/(1-q) at node 0 and -m1 q/(1-q) at node 2, so when
+    the node nearest 2 lies within pi/span of it with a negative amplitude
+    a_2, a_2/q is first added to the node nearest 0.  That leaves out both
+    of m1's nodes, which on noisy data sit off 0 and 2 and would otherwise
+    take a small weight and wander through the atoms for up to a hundred
+    polish steps before the fit trims them; an atom at 2 that outweighs
+    m1's term there keeps a positive amplitude and is seeded.  Each seed is
     polished once, and the atoms it keeps once more if it drops one of
     weight in (0, WEIGHT_FLOOR] or trims to max_atoms; dropping weights of
     exactly 0 leaves the rest at their optimum, so they are only refitted.
@@ -548,8 +558,12 @@ def chi_fit(
                 f"(pencil singular value {max_atoms + 3})"
             )
         nodes = _pencil_nodes(s, vh, ts[1] - ts[0], max_atoms + 2)
-        amps = np.linalg.lstsq(np.exp(1j * np.outer(ts, nodes)), values, rcond=None)[0]
-        best = evaluate(np.sort(nodes[(nodes > ATOM_SEPARATION) & (amps.real > 0)]))
+        amps = np.linalg.lstsq(np.exp(1j * np.outer(ts, nodes)), values, rcond=None)[0].real
+        # m1 puts -m1 q/(1-q) at node 2 and m1/(1-q) at node 0: take its share out of 0
+        two, zero = np.argmin(np.abs(nodes - 2.0)), np.argmin(np.abs(nodes))
+        if abs(nodes[two] - 2.0) < math.pi / (ts[-1] - ts[0]) and amps[two] < 0:
+            amps[zero] += amps[two] / q
+        best = evaluate(np.sort(nodes[(nodes > ATOM_SEPARATION) & (amps > tol)]))
     if best is None or not best[3] <= tol:
         cand = evaluate(_periodogram_peaks(ts, values, max_atoms + 2))
         if best is None or cand[3] < best[3]:
