@@ -86,17 +86,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def cartan_part(self, m: int, n: int) -> FunctionExpr:
-        for key, f in self.terms:
-            if key == (m, n):
-                return f
-        return FunctionExpr.zero()
-
-    @property
-    def total_degree(self) -> int:
-        """Largest m + n over the monomials (-1 for zero)."""
-        return max((m + n for (m, n), _ in self.terms), default=-1)
-
     @property
     def weights(self) -> tuple[int, ...]:
         """Sorted distinct grading weights m - n present."""
@@ -274,14 +263,6 @@ def add_weight_zero_rows(rows, a, b) -> int:
                     ts += freqs
                     cs += coeffs
     return len(ms) - start
-
-
-def weight_zero_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The weight-zero part of a * b, the canonical form of ``weight_zero_rows``."""
-    by_row: dict[int, list] = {}
-    for m, n, t, c in zip(*weight_zero_rows(a, b)):
-        by_row.setdefault(m, []).append((n, t, c))
-    return AlgebraElement([((m, m), FunctionExpr(terms)) for m, terms in by_row.items()])
 
 
 # -- the closed-form monomial product -----------------------------------------

@@ -6,7 +6,8 @@ Two independent routes:
   nu = m1 delta_0 + sigma * Ladder with Ladder = (1-q) sum_p q^p delta_{2p},
   a convolution with the local inverse sigma(x) = (nu(x) - q nu(x-2)) / (1-q)
   on x > 0, read in one pass over the support, so overlapping components
-  separate without subtracting ladders.  Failure (sigma below -tol/(1-q),
+  separate without subtracting ladders; the support is read straight from
+  the ``CartanMeasure`` arrays.  Failure (sigma below -tol/(1-q),
   unconsumed mass) means no KMS extension exists at this beta.
 
 * ``chi_fit`` works in the frequency domain.  chi(t) = m1 + g(t) sum_k w_k
@@ -99,21 +100,15 @@ def ladder_peel(cartan: CartanMeasure, beta: float, tol: float = 1e-8) -> Recove
     q = ladder_ratio(beta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    m0 = cartan.m0
-    positive = []
-    for x, mass in cartan.atoms:
-        if abs(x) <= POSITION_ATOL:
-            m0 += mass
-        elif x < 0:
-            if mass > tol:
-                raise NotExtendable(f"mass {mass} at negative position x={x}")
-        else:
-            positive.append((x, mass))
+    xs, masses = cartan.positions, cartan.masses
+    m0 = sum(masses[np.abs(xs) <= POSITION_ATOL].tolist(), cartan.m0)
+    negative = (xs < -POSITION_ATOL) & (masses > tol)
+    if negative.any():
+        raise NotExtendable(f"mass {masses[negative][0]} at negative position x={xs[negative][0]}")
+    xs, masses = xs[xs > POSITION_ATOL], masses[xs > POSITION_ATOL]
 
     # each point and one rung past it, where a ladder cut short leaves r < 0
-    points, nu = np.array(
-        merge_positions(positive + [(x + 2.0, 0.0) for x, _ in positive])
-    ).reshape(-1, 2).T
+    points, nu = merge_positions(np.concatenate((xs, xs + 2.0)), np.pad(masses, (0, masses.size)))
     i = np.searchsorted(points, points - 2.0 - POSITION_ATOL)
     below = np.where(np.abs(points[i] - (points - 2.0)) <= POSITION_ATOL, i, -1)
     nu = nu.tolist()

@@ -19,6 +19,10 @@ evaluators are provided:
 
 Their agreement on weight-zero monomials is the desk-scale content of the
 uniqueness argument; the acceptance suite pins it.
+
+``cartan_restriction`` lays out all Gibbs ladders as one outer sum into a
+``CartanMeasure``: two sorted read-only arrays, positions and masses, merged
+by the one rule of ``merge_positions``.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ MASS_TOL = 1e-12
 #: Atoms of a SpectralMeasure closer than this times max(1, location) are one atom.
 ATOM_MERGE_RTOL = 1e-12
 
-# Position merge tolerance for ladder atoms landing on the same point from
-# different base atoms (spacing-2 overlaps).
+#: Cartan positions whose gap to the position below is at most this join its point
+#: (``merge_positions``): ladders of different atoms landing on one point.
 POSITION_ATOL = 1e-9
 
 #: The Cartan restriction cuts each Gibbs ladder where its dropped tail holds under this.
@@ -94,32 +98,40 @@ class SpectralMeasure:
         object.__setattr__(self, "atoms", tuple((l, w) for l, w in merged))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanMeasure:
-    """Finite probability measure on the real line, with optional mass at 0."""
+    """Finite probability measure on the real line, with optional mass at 0.
 
-    atoms: tuple[tuple[float, float], ...]
+    The (x, mass) pairs ``atoms``, a sequence or an (n, 2) array, are held as
+    the read-only arrays ``positions`` and ``masses`` of ``merge_positions``.
+    """
+
+    positions: np.ndarray
+    masses: np.ndarray
     m0: float = 0.0
 
     def __init__(self, atoms=(), m0: float = 0.0):
         m0 = float(m0)
         if not 0 <= m0 < math.inf:
             raise ValueError(f"m0 must be nonnegative and finite, got {m0}")
-        cleaned = []
-        for x, mass in sorted((float(x), float(m)) for x, m in atoms):
-            if not 0 <= mass < math.inf:
-                raise ValueError(f"atom mass must be nonnegative and finite, got {mass}")
-            if not math.isfinite(x):
-                raise ValueError(f"atom position must be finite, got {x}")
-            if cleaned and x == cleaned[-1][0]:
-                cleaned[-1][1] += mass
-            else:
-                cleaned.append([x, mass])
-        total = m0 + sum(m for _, m in cleaned)
+        xs, ms = np.asarray(atoms, dtype=float).reshape(len(atoms), 2).T
+        bad = ~(np.isfinite(xs) & np.isfinite(ms) & (ms >= 0))
+        if bad.any():
+            raise ValueError(f"atoms need finite positions and nonnegative finite masses, "
+                             f"got (x, mass) = ({xs[bad][0]}, {ms[bad][0]})")
+        positions, masses = merge_positions(xs, ms)
+        total = m0 + masses.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass must be 1, got {total}")
-        object.__setattr__(self, "atoms", tuple((x, m) for x, m in cleaned))
+        positions.flags.writeable = masses.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "m0", m0)
+
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """The (x, mass) pairs, in order of x."""
+        return tuple(zip(self.positions.tolist(), self.masses.tolist()))
 
 
 # -- states ---------------------------------------------------------------------
@@ -357,8 +369,8 @@ def cartan_restriction(state: StateSpec) -> CartanMeasure:
     4 q^P <= LADDER_TOL (1-q): the dropped tail then holds under LADDER_TOL/4
     of the mass, and renormalizing the rungs p = 0..P to mass 1 moves them by
     under LADDER_TOL/4 in total, so each component keeps its full weight.
-    Positions from different ladders closer than POSITION_ATOL are merged
-    (``merge_positions``).  Raises ValueError, naming beta, when P would
+    All ladders are laid out as one outer sum, and ``CartanMeasure`` merges
+    them (``merge_positions``).  Raises ValueError, naming beta, when P would
     exceed MAX_LADDER_DEPTH (beta below ~4e-5).
     """
     q = math.exp(-state.beta)
@@ -373,34 +385,23 @@ def cartan_restriction(state: StateSpec) -> CartanMeasure:
     ps = np.arange(depth + 1, dtype=float)
     rung_masses = (1.0 - q) * q**ps
     rung_masses /= rung_masses.sum()
-    collected: list[tuple[float, float]] = []
-    for lam, w in state.measure.atoms:
-        positions = lam + 2.0 * ps
-        collected.extend(zip(positions.tolist(), (w * rung_masses).tolist()))
-    return CartanMeasure(atoms=merge_positions(collected), m0=state.measure.m1)
+    lams, weights = np.array(state.measure.atoms).reshape(-1, 2).T
+    ladders = np.stack((lams[:, None] + 2.0 * ps, weights[:, None] * rung_masses), axis=-1)
+    return CartanMeasure(atoms=ladders.reshape(-1, 2), m0=state.measure.m1)
 
 
-def merge_positions(pairs) -> tuple[tuple[float, float], ...]:
-    """Sort (x, mass) pairs; sum each run of positions within POSITION_ATOL of its first."""
-    merged: list[list[float]] = []
-    for x, mass in sorted(pairs):
-        if merged and x - merged[-1][0] <= POSITION_ATOL:
-            merged[-1][1] += mass
-        else:
-            merged.append([x, mass])
-    return tuple((x, m) for x, m in merged)
+def merge_positions(xs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (x, mass) points by x, then mass; sum runs of gaps <= POSITION_ATOL at their first x."""
+    order = np.lexsort((ms, xs))
+    xs, ms = xs[order], ms[order]
+    starts = np.flatnonzero(np.diff(xs, prepend=-math.inf) > POSITION_ATOL)
+    return xs[starts], np.add.reduceat(ms, starts)
 
 
 def cartan_moment(measure: CartanMeasure, f: FunctionExpr) -> complex:
     """Integral of F against the measure: sum mass_k F(x_k) + m0 F(0)."""
-    total = 0j
-    if measure.m0:
-        total += measure.m0 * f(0.0)
-    if measure.atoms:
-        xs = np.array([x for x, _ in measure.atoms])
-        ms = np.array([m for _, m in measure.atoms])
-        total += complex(np.sum(ms * f.evaluate_array(xs)))
-    return total
+    total = np.sum(measure.masses * f.evaluate_array(measure.positions))
+    return complex(total + measure.m0 * f(0.0))
 
 
 # -- the uniqueness recursion -------------------------------------------------------

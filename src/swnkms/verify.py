@@ -133,15 +133,6 @@ def random_element(rng: np.random.Generator, max_degree: int) -> AlgebraElement:
     return _element(_decode(rng.random(ELEMENT_DRAWS).tolist(), _monomial_keys(max_degree)))
 
 
-def random_function(rng: np.random.Generator) -> FunctionExpr:
-    """A random Cartan function from one block of FUNCTION_DRAWS uniforms.
-
-    It is read as the single slot of an element on the one key (0, 0).
-    """
-    ((_, terms),) = _decode([0.0, 0.0] + rng.random(FUNCTION_DRAWS).tolist(), ((0, 0),))
-    return FunctionExpr(terms)
-
-
 def _whole(name: str, value) -> int:
     try:
         return operator.index(value)
@@ -283,7 +274,7 @@ def support_positivity_check(
     so its measure is read directly: each ladder's smallest point is lam.
     """
     if isinstance(target, CartanMeasure):
-        positions = [x for x, mass in target.atoms if mass > 0.0]
+        positions = target.positions[target.masses > 0.0].tolist()
         at_zero = target.m0 > 0.0
     else:
         positions = [lam for lam, _ in target.measure.atoms]

@@ -20,7 +20,7 @@ from swnkms.algebra import (
     reduce_word,
     term_tuples,
     to_swn_basis,
-    weight_zero_product,
+    weight_zero_rows,
     word_of,
 )
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
@@ -244,7 +244,17 @@ class TestGrading:
         assert a.weights == (-2, 0, 1)
 
 
+def weight_zero_product(a, b):
+    """The weight-zero part of a * b, canonicalized from ``weight_zero_rows``."""
+    by_row = {}
+    for m, n, t, c in zip(*weight_zero_rows(a, b)):
+        by_row.setdefault(m, []).append((n, t, c))
+    return AlgebraElement([((m, m), FunctionExpr(terms)) for m, terms in by_row.items()])
+
+
 class TestWeightZeroProduct:
+    """``weight_zero_rows`` holds the weight-zero terms of the full product a * b."""
+
     @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_is_weight_zero_part_of_product(self, seed, degree):

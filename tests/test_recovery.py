@@ -105,6 +105,27 @@ class TestLadderPeel:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_chained_base_points_peel_as_one_rung(self):
+        """A ladder's base split over three points whose gaps are within POSITION_ATOL."""
+        state = StateSpec.gibbs(1.0, 1.0)
+        (base, mass), *rungs = cartan_restriction(state).atoms
+        chain = [(base, mass / 4), (base + 6e-10, mass / 4), (base + 1.2e-9, mass / 2)]
+        result = ladder_peel(CartanMeasure(atoms=tuple(chain + rungs)), 1.0)
+        assert measure_error(result.measure, state.measure) <= 1e-12
+
+    def test_low_beta_restriction_footprint(self):
+        """At beta 1e-4 two ladders lay out 810,608 points as two arrays, with no object per rung."""
+        state = StateSpec.mixture(SpectralMeasure(0.2, ((0.7, 0.5), (1.9, 0.3))), 1e-4)
+        tracemalloc.start()
+        try:
+            cartan = cartan_restriction(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cartan.positions.size == 810_608
+        assert peak < 100 * 2**20  # 257 MiB as a tuple of (x, mass) pairs
+        assert measure_error(ladder_peel(cartan, 1e-4).measure, state.measure) <= 1e-12
+
     def test_perturbed_mass_not_extendable(self):
         state = StateSpec.gibbs(1.5, 1.0)
         atoms = list(cartan_restriction(state).atoms)
@@ -224,6 +245,23 @@ class TestChiFit:
         assert len(result.measure.atoms) == 1
         assert result.measure.atoms[0][0] == pytest.approx(2.0, abs=1e-5)
         assert result.measure.atoms[0][1] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("beta, w", [(0.5, 1.5e-6), (0.5, 3e-6), (1.0, 1.5e-6),
+                                         (1.0, 3e-6), (2.0, 1.5e-6)])
+    def test_faint_atom_is_kept(self, beta, w):
+        """An atom of weight 1.5-3 tol is found, with the fit far below tol.
+
+        The singular-value floor only bounds a fit's residual from below: a
+        pencil rank chosen as the fewest nodes whose floor is within tol
+        drops this atom, and the fit then misses tol or leaves it out.
+        """
+        measure = SpectralMeasure(0.2, ((1.3, 0.3), (3.7, 0.5 - w), (5.5, w)))
+        ts = np.linspace(-10, 10, 101)
+        samples = list(zip(ts, chi_closed_form(StateSpec.mixture(measure, beta), ts)))
+        result = chi_fit(samples, beta, max_atoms=3, tol=1e-6)
+        assert len(result.measure.atoms) == 3
+        assert result.residual <= 1e-9
+        assert measure_error(result.measure, measure) <= 1e-6
 
     def test_nonuniform_grid_falls_back(self):
         state = StateSpec.gibbs(1.5, 1.0)

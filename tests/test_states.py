@@ -10,9 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from swnkms import states
-from swnkms.algebra import (
-    AlgebraElement, N, X, Y, weight_zero_product, weight_zero_rows,
-)
+from swnkms.algebra import AlgebraElement, N, X, Y, weight_zero_rows
 from swnkms.funcspace import ONE, X_VAR, FunctionExpr
 from swnkms.reps import ladder_diagonal
 from swnkms.states import (
@@ -26,6 +24,7 @@ from swnkms.states import (
     eval_trace,
     eval_traces,
     kms_shift_sum,
+    merge_positions,
     neg_polylogs,
     state_from_dict,
     state_to_dict,
@@ -34,6 +33,16 @@ from swnkms.states import (
 from swnkms.verify import random_element
 
 LN2 = math.log(2.0)
+
+
+def weight_zero_part(a: AlgebraElement) -> AlgebraElement:
+    """The terms X^m Y^m N_F of ``a``: all that a covariant state sees."""
+    return AlgebraElement([(key, f) for key, f in a.terms if key[0] == key[1]])
+
+
+def cartan_function(a: AlgebraElement) -> FunctionExpr:
+    """F of the term N_F of ``a`` (zero when it has none)."""
+    return dict(a.terms).get((0, 0), FunctionExpr.zero())
 
 
 def geometric_oracle(lam, beta, diag_fn, depth=4000):
@@ -205,7 +214,7 @@ def per_rung_trace(state, a, depth=1000):
     measure = state.measure
     q = math.exp(-state.beta)
     masses = (1.0 - q) * q ** np.arange(depth, dtype=float)
-    f0 = a.cartan_part(0, 0)
+    f0 = cartan_function(a)
     value = measure.m1 * f0(0.0)
     scale = measure.m1 * sum(abs(c) for n, _, c in f0.terms if n == 0)
     for lam, w in measure.atoms:
@@ -238,7 +247,7 @@ class TestEvalTraceContraction:
         for index in range(80):
             rng = np.random.default_rng([2024, index])
             state = random_mixture(rng, float(rng.uniform(0.3, 2.5)))
-            a = weight_zero_product(random_element(rng, 3), random_element(rng, 3))
+            a = weight_zero_part(random_element(rng, 3) * random_element(rng, 3))
             if a.is_zero:
                 continue
             expected, scale = per_rung_trace(state, a)
@@ -276,7 +285,7 @@ def loop_trace(state, a):
     total = 0j
     scale = 0.0
     if measure.m1:
-        f0 = a.cartan_part(0, 0)
+        f0 = cartan_function(a)
         total += measure.m1 * f0(0.0)
         scale += measure.m1 * sum(abs(c) for n, _, c in f0.terms if n == 0)
     rows, cols, entries = {}, {}, []
@@ -317,7 +326,7 @@ def test_trace_rows_match_canonical_product(seed, beta, degree):
     a, b = random_element(rng, degree), random_element(rng, degree)
     rows = weight_zero_rows(a, b)
     got = trace_rows(state, rows, [len(rows[0])])
-    expected = eval_traces(state, [weight_zero_product(a, b)])
+    expected = eval_traces(state, [weight_zero_part(a * b)])
     scale = sum(abs(c) * loop_trace(state, X**m * Y**m * N(FunctionExpr.x_power(n)))[1]
                 for m, n, _, c in zip(*rows))
     assert got.shape == (1,)
@@ -333,7 +342,7 @@ class TestEvalTraces:
 
     def batch(self, rng):
         products = [
-            weight_zero_product(random_element(rng, 4), random_element(rng, 4)) for _ in range(12)
+            weight_zero_part(random_element(rng, 4) * random_element(rng, 4)) for _ in range(12)
         ]
         shared = X * Y * N(FunctionExpr([(1, 0.5, 2.0), (0, 0.0, 1.0)]))
         return products + [
@@ -490,6 +499,42 @@ class TestCartanMeasures:
     def test_refuses_beta_past_the_depth_cap(self):
         with pytest.raises(ValueError, match=r"beta=1e-07 is too small"):
             cartan_restriction(StateSpec.gibbs(1.5, 1e-7))
+
+    def test_chained_positions_are_one_point(self):
+        """Gaps within POSITION_ATOL chain into one point, though its ends lie 1.2e-9 apart."""
+        chain, masses = [1.0, 1.0 + 6e-10, 1.0 + 1.2e-9], [0.25, 0.25, 0.5]
+        assert CartanMeasure(atoms=tuple(zip(chain, masses))).atoms == ((1.0, 1.0),)
+        positions, merged = merge_positions(np.array(chain[::-1]), np.array(masses[::-1]))
+        assert (positions.tolist(), merged.tolist()) == ([1.0], [1.0])
+
+    def test_merge_matches_a_loop_over_sorted_points(self):
+        """Clusters of points a few POSITION_ATOL wide, against the gap rule run point by point."""
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            xs = rng.choice([0.5, 1.5, 3.0], 40) + rng.integers(0, 4, 40) * 0.6 * states.POSITION_ATOL
+            ms = rng.uniform(0.0, 1.0, 40)
+            merged = []
+            for x, m in sorted(zip(xs.tolist(), ms.tolist())):
+                if merged and x - merged[-1][2] <= states.POSITION_ATOL:
+                    merged[-1][1] += m
+                    merged[-1][2] = x
+                else:
+                    merged.append([x, m, x])
+            positions, masses = merge_positions(xs, ms)
+            assert positions.tolist() == [x for x, _, _ in merged]
+            np.testing.assert_allclose(masses, [m for _, m, _ in merged], rtol=1e-15)
+
+    def test_holds_sorted_read_only_arrays(self):
+        measure = CartanMeasure(atoms=((3.0, 0.25), (1.0, 0.25), (3.0, 0.25)), m0=0.25)
+        assert measure.positions.tolist() == [1.0, 3.0]
+        assert measure.masses.tolist() == [0.25, 0.5]
+        assert measure.atoms == ((1.0, 0.25), (3.0, 0.5))
+        with pytest.raises(ValueError, match="read-only"):
+            measure.masses[0] = 1.0
+
+    def test_rejects_atoms_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match="shape"):
+            CartanMeasure(atoms=((1.0, 0.25, 0.0), (3.0, 0.75, 0.0)))
 
     def test_positivity_of_moments(self):
         state = StateSpec.gibbs(1.2, 1.0)
